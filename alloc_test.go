@@ -5,8 +5,8 @@
 
 package secpb
 
-// Allocation pins for the per-op hot paths: the specialized kernels
-// promise a zero-allocation steady state, and these tests fail on the
+// Allocation pins for the per-op hot paths: the engine's step path
+// promises a zero-allocation steady state, and these tests fail on the
 // first regression instead of leaving it to drift in benchmark noise
 // (B/op rounding hides sub-1 averages).
 

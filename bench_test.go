@@ -409,10 +409,9 @@ func BenchmarkPTableVsMap(b *testing.B) {
 }
 
 // BenchmarkRunBatchVsRun compares the two replay dispatch strategies on
-// the same generated stream: "scalar" drives the generic per-op step
-// loop (the differential oracle, kernels pinned off), "batched" and
-// "batched-pre" drive the columnar batch replay with the specialized
-// kernels pinned on. The workload is replay-bound by design — povray's
+// the same generated stream: "scalar" drives the per-op Step loop,
+// "batched" and "batched-pre" drive the columnar batch replay. The
+// workload is replay-bound by design — povray's
 // small hot working set keeps the stream in the modeled caches, so the
 // comparison measures dispatch (per-op interface calls, validation,
 // branch resolution) rather than the shared miss/crypto simulation
@@ -437,7 +436,6 @@ func BenchmarkRunBatchVsRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetKernels(false)
 			if err := eng.Run(trace.NewSliceSource(ops)); err != nil {
 				b.Fatal(err)
 			}
@@ -455,7 +453,6 @@ func BenchmarkRunBatchVsRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetKernels(true)
 			if err := eng.Run(gen); err != nil { // dispatches to RunBatch
 				b.Fatal(err)
 			}
@@ -477,7 +474,6 @@ func BenchmarkRunBatchVsRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetKernels(true)
 			src.Reset()
 			if err := eng.RunBatch(src); err != nil {
 				b.Fatal(err)

@@ -22,10 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"secpb/internal/bmt"
 	"secpb/internal/config"
-	"secpb/internal/crypto"
-	"secpb/internal/engine"
 	"secpb/internal/harness"
 	"secpb/internal/runner"
 	"secpb/internal/workload"
@@ -66,12 +63,9 @@ func benchMain() int {
 		benches  = flag.String("bench", "", "comma list of benchmarks (default: all 18)")
 		entries  = flag.Int("secpb", 32, "SecPB entries for the default configuration")
 		parallel = flag.Int("parallel", 0, "simulation workers (0 = one per CPU core, 1 = serial); output is identical at any value")
-		lanes    = flag.Int("lanes", 0, "pin the MAC hash lane width (0 = auto, 1 = scalar, 2/4 = interleaved); output is identical at any width")
-		sweepW   = flag.Int("sweepworkers", 0, "pin the BMT sweep worker count (0 = auto, 1 = serial); output is identical at any count")
 		cores    = flag.String("cores", "", "comma list of core counts for the multicore battery grid (default 1,8,64,256); cores=1 artifacts are byte-identical to the single-core path")
 		memo     = flag.Bool("memo", true, "cache simulation cells by content so overlapping experiment grids simulate each unique (config, benchmark, ops) cell once; output is identical either way")
 		memodir  = flag.String("memodir", "", "persist the cell cache in this directory: warm re-runs replay cached cells instead of simulating (records are content-keyed, version-stamped and checksummed; anything stale or corrupt is recomputed); output is identical either way")
-		kernels  = flag.Bool("kernels", true, "use the scheme-specialized execution kernels for the per-op hot path; output is identical either way")
 		tracedir = flag.String("tracedir", "", "replay each benchmark's recorded SPB2 trace from <dir>/<name>.spb2 instead of generating the stream live; traces recorded with -record at the same ops yield byte-identical artifacts")
 		record   = flag.Bool("record", false, "record the selected benchmarks' traces (default: the workload zoo) into -tracedir before running")
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
@@ -110,12 +104,6 @@ func benchMain() int {
 			}
 		}()
 	}
-
-	// Reproducibility pins for the parallel data plane: both knobs steer
-	// wall-clock strategy only — artifacts are identical at any setting.
-	crypto.SetDefaultLanes(*lanes)
-	bmt.SetDefaultSweepWorkers(*sweepW)
-	engine.SetDefaultKernels(*kernels)
 
 	gridCores, err := parseCores(*cores)
 	if err != nil {
@@ -313,8 +301,6 @@ func benchMain() int {
 		report := map[string]interface{}{
 			"ops":           *ops,
 			"parallelism":   workers,
-			"mac_lanes":     crypto.DefaultLanes(),
-			"sweep_workers": bmt.DefaultSweepWorkers(),
 			"cores":         gridCores,
 			"experiments_s": timings,
 			"total_s":       time.Since(startAll).Seconds(),
@@ -324,7 +310,6 @@ func benchMain() int {
 			report["memo_hits"] = hits
 			report["memo_misses"] = misses
 		}
-		report["kernels"] = *kernels
 		if cellStore != nil {
 			cs, bs := cellStore.Stats(), batteryStore.Stats()
 			report["disk_hits"] = cs.Hits + bs.Hits

@@ -41,6 +41,29 @@ import (
 	"secpb/internal/service"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// stalls mid-body, is cut off instead of holding a connection and a
+// goroutine forever. WriteTimeout bounds a whole handler, so it must
+// outlast the service's default finalize wait (30 s).
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute // full request, up to a -max-body upload
+	writeTimeout      = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8437", "listen address (host:port; port 0 picks a free port)")
@@ -83,7 +106,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "secpb-serve: listening on %s (data %s, %d sessions resumed)\n",
 		bound, *data, len(sv.Statuses()))
 
-	httpSrv := &http.Server{Handler: sv}
+	httpSrv := newHTTPServer(sv)
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 

@@ -216,7 +216,7 @@ func (s *SecPB) AcceptStoreInit(asid uint16, b addr.Block, off, size int, val ui
 	return s.acceptEntry(entry, allocated, b, cost)
 }
 
-// CoalesceStore is the engine kernel's fast path for a store whose
+// CoalesceStore is the engine store path's fast case for a store whose
 // block already has a resident entry: the coalescing write plus the
 // scheme's per-store (data-value-dependent) early work, with none of
 // the allocation path's AcceptCost bookkeeping. It reports found=false

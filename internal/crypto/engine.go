@@ -5,7 +5,6 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 )
 
 // CacheLineSize is the size of a memory block protected as a unit (64B),
@@ -46,16 +45,6 @@ type Engine struct {
 	macMid  []byte
 	nodeMid []byte
 	fastOK  bool
-	// macMidW/nodeMidW are the same key-block midstates in raw hash-word
-	// form, the representation the interleaved lane path (lanes.go)
-	// resumes from. Always derivable (the lane compression is pure Go),
-	// so the lane path works even when stdlib state capture does not.
-	macMidW  [8]uint64
-	nodeMidW [8]uint64
-	// lanes pins this engine's multi-buffer width: 0 defers to the
-	// package default (see SetDefaultLanes), 1 forces the scalar path,
-	// 2/4 force that interleave width.
-	lanes int
 	// otpSeed/otpPad are per-engine scratch for pad generation. Stack
 	// arrays sliced into the cipher.Block interface call escape to the
 	// heap; routing them through these fields keeps OTPInto (and the
@@ -74,14 +63,12 @@ type Engine struct {
 // The *Cipher and midstate slices are shared across engines — they are
 // immutable and safe for concurrent use.
 type derived struct {
-	aes      *Cipher
-	fastAES  cipher.Block
-	macKey   [32]byte
-	macMid   []byte
-	nodeMid  []byte
-	fastOK   bool
-	macMidW  [8]uint64
-	nodeMidW [8]uint64
+	aes     *Cipher
+	fastAES cipher.Block
+	macKey  [32]byte
+	macMid  []byte
+	nodeMid []byte
+	fastOK  bool
 }
 
 // deriveCacheMax bounds deriveCache growth under adversarial key churn.
@@ -127,8 +114,6 @@ func NewEngine(key []byte) (*Engine, error) {
 		if d.fastOK {
 			d.macMid, d.nodeMid = macMid, nodeMid
 		}
-		d.macMidW = midwords(&macBlock)
-		d.nodeMidW = midwords(&nodeBlock)
 		deriveMu.Lock()
 		if len(deriveCache) >= deriveCacheMax {
 			// Evict one random entry (map iteration order is
@@ -143,8 +128,7 @@ func NewEngine(key []byte) (*Engine, error) {
 		deriveCache[k] = d
 		deriveMu.Unlock()
 	}
-	e := &Engine{aes: d.aes, fastAES: d.fastAES, macKey: d.macKey,
-		macMidW: d.macMidW, nodeMidW: d.nodeMidW}
+	e := &Engine{aes: d.aes, fastAES: d.fastAES, macKey: d.macKey}
 	if d.fastOK {
 		if fast, ok := newFastHasher(); ok {
 			e.fast = fast
@@ -154,75 +138,6 @@ func NewEngine(key []byte) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// Clone returns a new engine over the same key material with private
-// scratch state. The shared fields (key schedules, midstates) are
-// immutable, so a clone may run concurrently with its parent; each
-// engine instance individually remains single-threaded. Parallel drain
-// and sweep workers clone the controller's engine once per worker.
-func (e *Engine) Clone() *Engine {
-	c := &Engine{
-		aes: e.aes, fastAES: e.fastAES, macKey: e.macKey,
-		macMid: e.macMid, nodeMid: e.nodeMid,
-		macMidW: e.macMidW, nodeMidW: e.nodeMidW,
-		lanes: e.lanes,
-	}
-	if e.fastOK {
-		if fast, ok := newFastHasher(); ok {
-			c.fast = fast
-			c.fastOK = true
-		}
-	}
-	return c
-}
-
-// CloneHasher returns Clone as an untyped value. Packages that only
-// consume the hashing side of the engine (the BMT) discover it through
-// an interface assertion, avoiding an import cycle.
-func (e *Engine) CloneHasher() any { return e.Clone() }
-
-// defaultLanes is the package-wide multi-buffer width policy, settable
-// by tooling (the secpb-bench -lanes flag): 0 auto, 1 scalar, 2/4 the
-// pinned interleave width.
-var defaultLanes atomic.Int32
-
-// SetDefaultLanes sets the package-default multi-buffer MAC width for
-// engines that do not pin their own: 0 restores the automatic choice,
-// 1 forces the scalar path, 2 or 4 force that interleave width.
-func SetDefaultLanes(n int) { defaultLanes.Store(int32(n)) }
-
-// DefaultLanes returns the package-default multi-buffer width.
-func DefaultLanes() int { return int(defaultLanes.Load()) }
-
-// SetLanes pins this engine's multi-buffer width, overriding the
-// package default (same encoding as SetDefaultLanes).
-func (e *Engine) SetLanes(n int) { e.lanes = n }
-
-// laneWidth resolves the effective multi-buffer width. Auto prefers the
-// scalar stdlib path whenever its one-block midstate capture works: on
-// the big targets that path is assembly, and one hand-scheduled
-// compression beats the pure-Go lanes' per-digest cost even with the
-// lanes' instruction-level overlap. The lanes win when state capture is
-// unavailable and the alternative is the reference hasher re-absorbing
-// the key block on every digest.
-func (e *Engine) laneWidth() int {
-	n := e.lanes
-	if n == 0 {
-		n = DefaultLanes()
-	}
-	switch {
-	case n >= lanes4:
-		return lanes4
-	case n >= lanes2:
-		return lanes2
-	case n == 1:
-		return 1
-	}
-	if e.fastOK {
-		return 1
-	}
-	return lanes4
 }
 
 // OTP computes the 64-byte one-time pad for a block at the given physical

@@ -40,17 +40,14 @@ type Engine struct {
 	hier *mem.Hierarchy
 	sb   *mem.StoreBuffer
 
-	// Specialized step kernel (see kernel.go): kern holds the
-	// preresolved per-scheme constants and dispatch class, kernEnabled
-	// the engine's pin (seeded from the package default), l1 the cached
-	// L1 pointer the hot probes use, and blockCol the batch replay
-	// loop's reusable bulk-decomposed block column.
-	kern        kernel
-	kernEnabled bool
-	l1          *mem.Cache
-	blockCol    []addr.Block
-	// lastStoreBlock/lastStoreBlk memoize the kernel store path's most
-	// recent memory-image lookup (ptable pointers are stable).
+	// lat holds the config-invariant cycle constants of the step path,
+	// l1 the cached L1 pointer the hot probes use, and blockCol the
+	// batch replay loop's reusable bulk-decomposed block column.
+	lat      latencies
+	l1       *mem.Cache
+	blockCol []addr.Block
+	// lastStoreBlock/lastStoreBlk memoize the store path's most recent
+	// memory-image lookup (ptable pointers are stable).
 	lastStoreBlock addr.Block
 	lastStoreBlk   *[addr.BlockBytes]byte
 
@@ -65,11 +62,10 @@ type Engine struct {
 	memory *ptable.Table[[addr.BlockBytes]byte]
 
 	// Cycle-accounting clocks.
-	now         uint64 // retirement time of the last instruction
-	pbPortFree  uint64 // SecPB port: frees at the unblocking signal
-	drainFree   uint64 // MC drain pipeline
-	spUnitFree  uint64 // SP baseline MC pipeline
-	lastUnblock uint64 // previous store's unblock time (in-order)
+	now        uint64 // retirement time of the last instruction
+	pbPortFree uint64 // SecPB port: frees at the unblocking signal
+	drainFree  uint64 // MC drain pipeline
+	spUnitFree uint64 // SP baseline MC pipeline
 
 	// Virtual SecPB occupancy: functional drains happen at scheduling
 	// time, but the slot stays occupied until the drain completes.
@@ -86,7 +82,9 @@ type Engine struct {
 	// sink, when non-nil, receives the store-accept crash point; the
 	// same sink is propagated to the SecPB and controller by
 	// SetCrashSink. Nil in normal runs: a disabled pipeline costs one
-	// pointer compare per store and allocates nothing.
+	// pointer compare per store and allocates nothing. The sink is the
+	// only difference between a crash-injected run and a normal one —
+	// both take the same step path.
 	sink crashpoint.Sink
 
 	// Statistics.
@@ -103,6 +101,20 @@ type Engine struct {
 	// operations advance used to perform, so the accumulator trajectory
 	// (and every derived cycle count) is bit-identical.
 	cpiTab [64]float64
+}
+
+// latencies holds the cycle constants the step path needs, hoisted out
+// of config.Config at engine construction (PMReadCycles alone is a
+// float multiply per call).
+type latencies struct {
+	port      uint64 // SecPBAccessCyc
+	allocPort uint64 // extra port cycles for new entries (OBCM: +port)
+	ctrHit    uint64 // counter-cache access cycles
+	pmRead    uint64 // PMReadCycles(): counter/BMT-node fetch from PM
+	aes       uint64 // AESLatency
+	mac       uint64 // MACLatency (also per BMT level)
+	entries   int    // SecPBEntries (backflow limit)
+	loadCheck bool   // secure && !Speculative: loads wait for MAC+BMT
 }
 
 // New builds an engine for the given configuration and workload profile.
@@ -137,8 +149,21 @@ func New(cfg config.Config, prof workload.Profile, key []byte) (*Engine, error) 
 		}
 		e.spb = spb
 	}
-	e.kernEnabled = DefaultKernels()
-	e.refreshKernel()
+	e.l1 = e.hier.L1()
+	e.lat = latencies{
+		port:      cfg.SecPBAccessCyc,
+		ctrHit:    cfg.CtrCache.AccessCycles,
+		pmRead:    cfg.PMReadCycles(),
+		aes:       cfg.AESLatency,
+		mac:       cfg.MACLatency,
+		entries:   cfg.SecPBEntries,
+		loadCheck: mc.Secure() && !cfg.Speculative,
+	}
+	if cfg.Scheme == config.SchemeOBCM {
+		// OBCM pays the SecPB access twice for new entries: once to
+		// write the data block, once to check the counter valid bit.
+		e.lat.allocPort = e.lat.port
+	}
 	return e, nil
 }
 
@@ -190,11 +215,12 @@ func (e *Engine) SetCrashSink(s crashpoint.Sink) {
 		e.spb.SetCrashSink(s)
 	}
 	e.mc.SetCrashSink(s)
-	// Crash points fire from inside the generic accept path; the
-	// specialized kernel disengages while a sink is installed and
-	// re-engages when it is removed.
-	e.refreshKernel()
 }
+
+// Kernelized reports false: the engine has a single step path.
+//
+// Deprecated: kept for callers of the removed specialized kernels.
+func (e *Engine) Kernelized() bool { return false }
 
 // advance adds non-memory instruction time: gap instructions plus the
 // memory instruction itself, at the profile's baseline CPI.
@@ -220,16 +246,24 @@ func (e *Engine) Step(op trace.Op) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
-	return e.step(op)
+	e.advance(op.Gap)
+	switch op.Kind {
+	case trace.Load:
+		e.load(uint64(addr.BlockOf(op.Addr)))
+	case trace.Store:
+		return e.store(addr.BlockOf(op.Addr), op.Addr, op.Size, op.Data)
+	case trace.Fence:
+		e.fence()
+	}
+	return nil
 }
 
 // StepBatch executes one columnar batch of operations: validated once
-// up front, then replayed through the same specialized kernels RunBatch
-// uses. Callers that receive ops in externally-chosen chunks (the
-// trace-streaming service steps one uploaded segment at a time) get the
-// columnar fast path without committing to a whole-source Run; the
-// result trajectory is identical to the equivalent Step sequence at any
-// chunking, the same contract RunBatch's batching carries.
+// up front, then replayed by the same loop RunBatch uses. Callers that
+// receive ops in externally-chosen chunks (the trace-streaming service
+// steps one uploaded segment at a time) get the columnar path without
+// committing to a whole-source Run; the result trajectory is identical
+// to the equivalent Step sequence at any chunking.
 func (e *Engine) StepBatch(b *trace.Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -237,32 +271,12 @@ func (e *Engine) StepBatch(b *trace.Batch) error {
 	return e.replayBatch(b)
 }
 
-// step executes one already-validated operation (the batch replay path
-// validates whole batches up front).
-func (e *Engine) step(op trace.Op) error {
-	e.advance(op.Gap)
-	switch op.Kind {
-	case trace.Load:
-		if e.kern.class == kcSecPB {
-			e.loadFast(op.Addr)
-			return nil
-		}
-		e.doLoad(op)
-	case trace.Store:
-		if e.kern.class == kcSecPB {
-			return e.storeFast(op.Addr, op.Size, op.Data)
-		}
-		if err := e.doStore(op); err != nil {
-			return err
-		}
-	case trace.Fence:
-		// Strict persistency on a persistent hierarchy: fences are
-		// no-ops for persistency; they only drain the store buffer.
-		if d := e.sb.DrainedBy(); d > e.now {
-			e.now = d
-		}
+// fence drains the store buffer. Under strict persistency on a
+// persistent hierarchy fences are otherwise no-ops.
+func (e *Engine) fence() {
+	if d := e.sb.DrainedBy(); d > e.now {
+		e.now = d
 	}
-	return nil
 }
 
 // Run drains the source. It returns the first error (trace corruption or
@@ -289,59 +303,43 @@ func (e *Engine) Run(src trace.Source) error {
 
 // RunBatch drains a batched source: ops arrive in columnar chunks, each
 // validated once up front and replayed with no per-op interface
-// dispatch. The replay is double-buffered: while the current batch
-// replays, a worker goroutine derives the one-time pads the next
-// batch's store blocks are predicted to need (counter-mode pads depend
-// only on the address/counter pair, so they can be computed off the
-// critical path) on a cloned crypto engine. Predicted pads are
-// installed in the controller's prefetch table after the join; wrong
-// predictions are dropped at consumption time, so the pipeline changes
-// wall-clock only, never results.
+// dispatch.
 func (e *Engine) RunBatch(src trace.BatchSource) error {
-	cur := trace.NewBatch(trace.DefaultBatchCap)
-	if !src.NextBatch(cur) {
-		return e.finishRun()
-	}
-	pf := e.newOTPPrefetcher()
-	if pf == nil {
-		// Single-buffered replay: without the pad pipeline there is
-		// nothing to overlap, so skip the second batch and its refill
-		// hand-off entirely.
-		for {
-			if err := cur.Validate(); err != nil {
-				return err
-			}
-			if err := e.replayBatch(cur); err != nil {
-				return err
-			}
-			if !src.NextBatch(cur) {
-				break
-			}
-		}
-		return e.finishRun()
-	}
-	next := trace.NewBatch(trace.DefaultBatchCap)
-	for {
-		if err := cur.Validate(); err != nil {
+	b := trace.NewBatch(trace.DefaultBatchCap)
+	for src.NextBatch(b) {
+		if err := b.Validate(); err != nil {
 			return err
 		}
-		more := src.NextBatch(next)
-		if more && pf != nil {
-			pf.launch(next)
-		}
-		if err := e.replayBatch(cur); err != nil {
-			pf.drain()
+		if err := e.replayBatch(b); err != nil {
 			return err
 		}
-		if more && pf != nil {
-			pf.install(e.mc)
-		}
-		if !more {
-			break
-		}
-		cur, next = next, cur
 	}
 	return e.finishRun()
+}
+
+// replayBatch replays one validated batch. The loop is columnar: the
+// block column is bulk-decomposed up front via internal/addr, ops are
+// read straight out of the columns (no per-op trace.Op materialization
+// and no per-op Validate), and L1-hit loads — the bulk of every
+// workload — complete inside the loop with a single set-indexed probe.
+func (e *Engine) replayBatch(b *trace.Batch) error {
+	kinds, addrs, sizes, datas, gaps := b.Kinds, b.Addrs, b.Sizes, b.Datas, b.Gaps
+	e.blockCol = addr.AppendBlocks(e.blockCol[:0], addrs)
+	blocks := e.blockCol
+	for i := range kinds {
+		e.advance(gaps[i])
+		switch kinds[i] {
+		case trace.Load:
+			e.load(uint64(blocks[i]))
+		case trace.Store:
+			if err := e.store(blocks[i], addrs[i], sizes[i], datas[i]); err != nil {
+				return err
+			}
+		default: // trace.Fence
+			e.fence()
+		}
+	}
+	return nil
 }
 
 // finishRun closes the region of interest. Execution time includes
@@ -412,24 +410,32 @@ func (e *Engine) CrashDrain() (int, error) {
 	return n, err
 }
 
-// doLoad models a data read.
-func (e *Engine) doLoad(op trace.Op) {
+// load models a data read of the block at blockAddr. L1 hits — the bulk
+// of every workload — are fully pipelined and cost no retirement stall;
+// everything past an L1 miss is in loadMiss.
+func (e *Engine) load(blockAddr uint64) {
 	e.loads++
-	block := addr.BlockOf(op.Addr)
-
-	// L1 hit: fully pipelined, no retirement stall.
-	if e.hier.L1().Access(block.Addr(), false, false) {
+	if e.l1.AccessRead(blockAddr) {
 		return
 	}
+	e.loadMiss(blockAddr)
+}
+
+// loadMiss serves a load that missed L1. The hierarchy walk starts at
+// L2: LoadAfterL1Miss recounts the walk's own L1 probe instead of
+// rescanning a set the caller just missed in, so cache statistics are
+// those of a full walk.
+func (e *Engine) loadMiss(blockAddr uint64) {
+	block := addr.Block(blockAddr)
 	// The persist buffer is at the L1 level and holds the freshest
 	// data: an L1 miss that hits the SecPB is served from it.
 	if e.spb != nil && e.spb.Lookup(block) != nil {
 		e.pbServedLoads++
-		e.hier.L1().Fill(block.Addr(), true, true)
-		e.stall(e.cfg.SecPBAccessCyc)
+		e.l1.Fill(blockAddr, true, true)
+		e.stall(e.lat.port)
 		return
 	}
-	res := e.hier.Load(block.Addr())
+	res := e.hier.LoadAfterL1Miss(blockAddr)
 	extra := uint64(0)
 	if res.PMAccess {
 		// Functional fetch: decrypt + verify.
@@ -440,11 +446,11 @@ func (e *Engine) doLoad(op trace.Op) {
 		// With speculative verification (PoisonIvy) the MAC/BMT checks
 		// run off the critical path; without it the load's use waits
 		// for the MAC check and the BMT walk.
-		if e.mc.Secure() && !e.cfg.Speculative {
-			extra = e.cfg.MACLatency + uint64(cost.BMTLevels)*e.cfg.MACLatency
+		if e.lat.loadCheck {
+			extra = e.lat.mac + uint64(cost.BMTLevels)*e.lat.mac
 		}
 	}
-	e.stall(res.Cycles - e.hier.L1().Latency() + extra)
+	e.stall(res.Cycles - e.l1.Latency() + extra)
 }
 
 // stall charges a retirement stall of cycles/MLP (overlapped misses).
@@ -454,26 +460,37 @@ func (e *Engine) stall(cycles uint64) {
 	e.now += s
 }
 
-// doStore models a persist: the store enters L1D and the SecPB in
-// parallel; acceptance latency depends on the scheme's early work.
-func (e *Engine) doStore(op trace.Op) error {
+// store models a persist of size bytes of data at a (inside block): the
+// store enters L1D and the SecPB in parallel, and its acceptance
+// latency depends on the scheme's early work. The common case — the
+// store coalesces into a resident entry — runs straight through: memory
+// update, hierarchy touch, one index probe that doubles as the
+// coalescing write plus the scheme's per-store early work, and a short
+// timing chain. Allocation (roughly one store in NWPE) takes
+// storeAccept.
+func (e *Engine) store(block addr.Block, a uint64, size uint8, data uint64) error {
 	e.stores++
-	block := addr.BlockOf(op.Addr)
-	off := int(op.Addr - block.Addr())
+	off := int(a - uint64(block))
 
-	// Functional: update the program view in place (whole-word stores,
-	// the common case, skip the byte loop).
-	blk, _ := e.memory.GetOrCreate(block.Index())
-	if op.Size == 8 {
-		binary.LittleEndian.PutUint64(blk[off:off+8], op.Data)
+	// Functional: update the program view in place. Consecutive stores
+	// overwhelmingly target the block they just wrote; ptable block
+	// pointers never move, so the previous lookup stays valid and the
+	// radix walk is skipped on a repeat.
+	blk := e.lastStoreBlk
+	if block != e.lastStoreBlock || blk == nil {
+		blk, _ = e.memory.GetOrCreate(block.Index())
+		e.lastStoreBlock, e.lastStoreBlk = block, blk
+	}
+	if size == 8 {
+		binary.LittleEndian.PutUint64(blk[off:off+8], data)
 	} else {
-		for i := 0; i < int(op.Size); i++ {
-			blk[off+i] = byte(op.Data >> (8 * i))
+		for i := 0; i < int(size); i++ {
+			blk[off+i] = byte(data >> (8 * i))
 		}
 	}
 
 	// Timing+state: L1D write in parallel with PB acceptance.
-	e.hier.Store(block.Addr())
+	e.hier.StoreTouch(uint64(block))
 
 	// Crash boundary: the program view and L1 hold the store but it has
 	// not reached the point of persistency yet.
@@ -481,18 +498,43 @@ func (e *Engine) doStore(op trace.Op) error {
 		e.sink.CrashPoint(crashpoint.StoreAccept, block)
 	}
 
-	if e.cfg.Scheme == config.SchemeSP {
-		return e.doStoreSP(block, blk)
+	if e.spb == nil {
+		return e.storeSP(block, blk)
 	}
 
 	// Retire completed drains.
 	e.reapDrains(e.now)
-
 	accStart := max(e.now, e.pbPortFree)
 
+	// Under the DVI-coalescing ablation CoalesceStore never coalesces:
+	// every store redoes the per-entry work in the full accept.
+	found, xored, maced := e.spb.CoalesceStore(block, off, int(size), data)
+	if !found {
+		return e.storeAccept(block, off, size, data, blk, accStart)
+	}
+
+	// Coalesced store: no counter step, no OTP, no BMT walk (the DVI
+	// per-entry work ran at allocation), so the Figure 4 dependency
+	// graph collapses to port → [cipher XOR] → [MAC].
+	unblock := accStart + e.lat.port
+	if xored {
+		unblock += 1 + e.lat.port
+	}
+	if maced {
+		unblock += e.lat.mac
+	}
+	e.pbPortFree = unblock
+	e.now = e.sb.Push(e.now, unblock)
+	return e.storeDrainTail()
+}
+
+// storeAccept is the store path's full accept: the backflow test, the
+// SecPB accept with cost accounting, and the complete early-work timing
+// chain.
+func (e *Engine) storeAccept(block addr.Block, off int, size uint8, data uint64, blk *[addr.BlockBytes]byte, accStart uint64) error {
 	// Backflow test: the Lookup only matters when occupancy is at the
 	// limit, so check the cheap counter first.
-	if e.virtualOcc >= e.cfg.SecPBEntries && e.spb.Lookup(block) == nil {
+	if e.virtualOcc >= e.lat.entries && e.spb.Lookup(block) == nil {
 		// Backflow: the SecPB is full including in-flight drains; the
 		// store waits for the oldest drain to complete (draining is
 		// already in progress by watermark, but force one if not).
@@ -510,14 +552,16 @@ func (e *Engine) doStore(op trace.Op) error {
 	}
 
 	var cost core.AcceptCost
-	if err := e.spb.AcceptStoreInit(0, block, off, int(op.Size), op.Data, blk, accStart, &cost); err != nil {
+	if err := e.spb.AcceptStoreInit(0, block, off, int(size), data, blk, accStart, &cost); err != nil {
 		return fmt.Errorf("engine: accept store: %w", err)
 	}
+	port := e.lat.port
 	if cost.Allocated {
 		e.virtualOcc++
 		if e.virtualOcc > e.peakOcc {
 			e.peakOcc = e.virtualOcc
 		}
+		port += e.lat.allocPort
 	}
 
 	// Early-work timing follows Figure 4's dependency graph: the
@@ -526,60 +570,74 @@ func (e *Engine) doStore(op trace.Op) error {
 	// hardware units pipeline across stores ("generation of several
 	// MACs is overlapped with BMT updates", Sec VI.B), but stores
 	// unblock the store buffer in order (persist order invariant).
-	port := e.cfg.SecPBAccessCyc
-	if cost.Allocated && e.cfg.Scheme == config.SchemeOBCM {
-		// OBCM pays the SecPB access twice for new entries: once to
-		// write the data block, once to check the counter valid bit.
-		port += e.cfg.SecPBAccessCyc
-	}
-	t0 := accStart + port
-	e.pbPortFree = t0
-
-	tCtr := t0
+	tCtr := accStart + port
 	if cost.CounterStep {
 		if cost.CtrCost.CtrFetchPM {
-			tCtr += e.cfg.PMReadCycles()
+			tCtr += e.lat.pmRead
 		} else {
-			tCtr += e.cfg.CtrCache.AccessCycles
+			tCtr += e.lat.ctrHit
 		}
 	}
 	// OTP → ciphertext → MAC chain.
 	tChain := tCtr
 	if cost.OTPGenerated {
-		tChain += e.cfg.AESLatency
+		tChain += e.lat.aes
 	}
 	if cost.CipherXOR {
 		// Regenerating Dc costs a single-cycle XOR plus a SecPB write
 		// port access to update the entry's ciphertext field.
-		tChain += 1 + e.cfg.SecPBAccessCyc
+		tChain += 1 + e.lat.port
 	}
 	if cost.MACGenerated {
-		tChain += e.cfg.MACLatency
+		tChain += e.lat.mac
 	}
-	// BMT branch (parallel with the MAC chain within this store: both
-	// hang off the counter, and "the generation of several MACs is
-	// overlapped with BMT updates", Sec VI.B).
+	// BMT branch, parallel with the MAC chain within this store: both
+	// hang off the counter.
 	tBMT := tCtr
 	if cost.BMTLevels > 0 {
-		tBMT += uint64(cost.BMTLevels)*e.cfg.MACLatency +
-			uint64(cost.BMTNodeFetch)*e.cfg.PMReadCycles()
+		tBMT += uint64(cost.BMTLevels)*e.lat.mac +
+			uint64(cost.BMTNodeFetch)*e.lat.pmRead
 	}
 	// The unblocking signal: the SecPB accepts the next store only
 	// after this store's early tuple elements are updated (for NoGap,
 	// the complete tuple — the persist order invariant).
 	unblock := max(tChain, tBMT)
 	e.pbPortFree = unblock
-	e.lastUnblock = unblock
-
 	// The core proceeds unless the store buffer is full; then the
-	// shared watermark-drain epilogue.
+	// watermark-drain epilogue.
 	e.now = e.sb.Push(e.now, unblock)
 	return e.storeDrainTail()
 }
 
-// doStoreSP models the SP baseline: every store streams through the
-// MC's pipelined tuple-update path (no coalescing, SPoP at the MC).
-func (e *Engine) doStoreSP(block addr.Block, data *[addr.BlockBytes]byte) error {
+// storeDrainTail is the watermark-drain epilogue of every SecPB store:
+// start draining above the high watermark, continue to the low one, and
+// commit the burst's staged BMT walks in one coalesced sweep.
+func (e *Engine) storeDrainTail() error {
+	if e.spb.AboveHigh() {
+		e.draining = true
+	}
+	drained := false
+	for e.draining && e.spb.AboveLow() {
+		if err := e.scheduleDrain(e.now); err != nil {
+			return err
+		}
+		drained = true
+	}
+	if !e.spb.AboveLow() {
+		e.draining = false
+	}
+	if drained {
+		// The drain burst is one epoch: commit its staged BMT walks with
+		// a single coalesced sweep (timing/Cost accounting is unchanged —
+		// the sweep only affects host wall-clock).
+		e.mc.CompleteSweep()
+	}
+	return nil
+}
+
+// storeSP models the SP baseline: every store streams through the MC's
+// pipelined tuple-update path (no coalescing, SPoP at the MC).
+func (e *Engine) storeSP(block addr.Block, data *[addr.BlockBytes]byte) error {
 	levels := 0
 	if h := e.mc.Heights(); h != nil {
 		levels = h.WalkLevels(block.CounterLine())

@@ -139,8 +139,8 @@ type coreSim struct {
 // deterministic and lock-striped); shared writes and reads of
 // Modified lines defer to the barrier, where they replay serially in
 // canonical order — ascending core id, program order within a core —
-// making every result byte-identical at any worker count, the same
-// discipline as the subtree-parallel BMT sweep (DESIGN.md §5.6).
+// making every result byte-identical at any worker count (DESIGN.md
+// §5.7).
 type System struct {
 	cfg   config.Config
 	prof  workload.Profile
@@ -148,10 +148,9 @@ type System struct {
 	cores []*coreSim
 	// shared is the coherence domain: per-core shared-region SecPBs and
 	// the shared memory-channel controller behind the MESI directory.
-	shared  *coherence.System
-	sink    crashpoint.Sink
-	workers int
-	epochs  uint64
+	shared *coherence.System
+	sink   crashpoint.Sink
+	epochs uint64
 }
 
 // NewSystem builds an n-core system (n = cfg.Cores, min 1) running nops
@@ -234,10 +233,6 @@ func (s *System) Shared() *coherence.System { return s.shared }
 // Plan returns the shared-region rewrite plan.
 func (s *System) Plan() SharedPlan { return s.plan }
 
-// SetWorkers pins the step-parallelism (0 = one worker per CPU, 1 =
-// serial). Results are identical at any setting.
-func (s *System) SetWorkers(n int) { s.workers = n }
-
 // SetCrashSink installs a crash-injection sink across every core's
 // pipeline and the shared coherence domain. A non-nil sink also forces
 // serial core stepping so the global crash-point stream is
@@ -251,22 +246,13 @@ func (s *System) SetCrashSink(sink crashpoint.Sink) {
 	s.shared.SetCrashSink(sink)
 }
 
-// stepWorkers resolves the worker count for the parallel phase.
+// stepWorkers resolves the worker count for the parallel phase: one
+// per CPU, at most one per core, and serial under a crash sink.
 func (s *System) stepWorkers() int {
 	if s.sink != nil {
 		return 1
 	}
-	w := s.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(s.cores) {
-		w = len(s.cores)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(runtime.GOMAXPROCS(0), len(s.cores)))
 }
 
 // stepEpoch advances one core by up to EpochOps operations against its

@@ -10,13 +10,15 @@ import (
 	"secpb/internal/workload"
 )
 
+// runSystemWorkers runs a System with GOMAXPROCS set to workers, which
+// bounds the core-stepping worker pool.
 func runSystemWorkers(t *testing.T, cfg config.Config, prof workload.Profile, nops uint64, workers int) MCResult {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	sys, err := NewSystem(cfg, prof, []byte("secpb-experiment-key"), nops)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	sys.SetWorkers(workers)
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run (workers=%d): %v", workers, err)
 	}
@@ -33,9 +35,6 @@ func runSystemWorkers(t *testing.T, cfg config.Config, prof workload.Profile, no
 // shared-state mutation happens at serialized barriers in canonical
 // (core id, program order) order.
 func TestSystemSerialParallelIdentity(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
 	prof := mustProfile(t, "gromacs")
 	for _, scheme := range []config.Scheme{config.SchemeCM, config.SchemeCOBCM} {
 		cfg := config.Default().WithScheme(scheme).WithCores(4)

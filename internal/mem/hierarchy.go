@@ -5,7 +5,7 @@ import "secpb/internal/config"
 // AccessResult describes where in the hierarchy an access was served and
 // what it cost.
 type AccessResult struct {
-	// Level is 1..3 for cache hits, 4 for PM.
+	// Level is 2..3 for L2/LLC hits, 4 for PM.
 	Level int
 	// Cycles is the load-to-use latency in core cycles (excluding any
 	// PM queueing, which the memory-controller model adds).
@@ -21,9 +21,9 @@ type Hierarchy struct {
 	l1, l2, l3 *Cache
 	pmCycles   uint64
 	// Cumulative load-to-use latencies per serving level, precomputed so
-	// the per-access path adds nothing: lat1 = L1, lat2 = L1+L2,
+	// the per-access path adds nothing: lat2 = L1+L2,
 	// lat3 = L1+L2+L3, lat4 = lat3 + PM read.
-	lat1, lat2, lat3, lat4 uint64
+	lat2, lat3, lat4 uint64
 }
 
 // NewHierarchy builds the L1/L2/L3 hierarchy from cfg.
@@ -34,8 +34,7 @@ func NewHierarchy(cfg config.Config) *Hierarchy {
 		l3:       NewCache("llc", cfg.L3),
 		pmCycles: cfg.PMReadCycles(),
 	}
-	h.lat1 = h.l1.Latency()
-	h.lat2 = h.lat1 + h.l2.Latency()
+	h.lat2 = h.l1.Latency() + h.l2.Latency()
 	h.lat3 = h.lat2 + h.l3.Latency()
 	h.lat4 = h.lat3 + h.pmCycles
 	return h
@@ -50,32 +49,11 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // L3 returns the last-level cache model.
 func (h *Hierarchy) L3() *Cache { return h.l3 }
 
-// Load performs a read of the block, filling on the way in.
-func (h *Hierarchy) Load(blockAddr uint64) AccessResult {
-	if h.l1.AccessRead(blockAddr) {
-		return AccessResult{Level: 1, Cycles: h.lat1}
-	}
-	if h.l2.AccessRead(blockAddr) {
-		h.l1.Fill(blockAddr, false, false)
-		return AccessResult{Level: 2, Cycles: h.lat2}
-	}
-	if h.l3.AccessRead(blockAddr) {
-		h.l2.Fill(blockAddr, false, false)
-		h.l1.Fill(blockAddr, false, false)
-		return AccessResult{Level: 3, Cycles: h.lat3}
-	}
-	h.l3.Fill(blockAddr, false, false)
-	h.l2.Fill(blockAddr, false, false)
-	h.l1.Fill(blockAddr, false, false)
-	return AccessResult{Level: 4, Cycles: h.lat4, PMAccess: true}
-}
-
-// LoadAfterL1Miss is Load for a caller that has just probed L1 for the
-// block and missed. The engine's load path issues its own L1 probe
-// first; Load would rescan the same set with a foreknown outcome, so
-// this form recounts the L1 miss arithmetically (RecountMiss) and
-// proceeds from L2 — the stats and clock trajectory are exactly
-// Load's.
+// LoadAfterL1Miss performs a read of the block for a caller that has
+// just probed L1 (AccessRead) and missed, filling on the way in. The
+// walk's own L1 probe would rescan the set with a foreknown outcome, so
+// it is recounted arithmetically (RecountMiss) and the walk proceeds
+// from L2; cache statistics are those of a full walk from L1.
 func (h *Hierarchy) LoadAfterL1Miss(blockAddr uint64) AccessResult {
 	h.l1.RecountMiss()
 	if h.l2.AccessRead(blockAddr) {
@@ -93,38 +71,14 @@ func (h *Hierarchy) LoadAfterL1Miss(blockAddr uint64) AccessResult {
 	return AccessResult{Level: 4, Cycles: h.lat4, PMAccess: true}
 }
 
-// Store performs a write of the block. Under a persistent hierarchy the
-// store simultaneously enters the persist buffer, so the line is marked
-// persist-dirty: its eventual eviction is silently discarded because the
-// PB guarantees the data reaches PM (paper Section IV.C). The store
-// allocates in L1 on a miss (write-allocate) but does not need the old
-// data from PM: the PB coalesces at word granularity.
-func (h *Hierarchy) Store(blockAddr uint64) AccessResult {
-	if h.l1.AccessPersist(blockAddr) {
-		return AccessResult{Level: 1, Cycles: h.lat1}
-	}
-	// Write-allocate without fetch: a PB-backed store needs no fill
-	// data from PM (the PB entry fetches/merges it), so the store pays
-	// only the allocation latency of the levels it traverses.
-	if h.l2.AccessPersist(blockAddr) {
-		h.l1.Fill(blockAddr, true, true)
-		return AccessResult{Level: 2, Cycles: h.lat2}
-	}
-	if h.l3.AccessPersist(blockAddr) {
-		h.l2.Fill(blockAddr, true, true)
-		h.l1.Fill(blockAddr, true, true)
-		return AccessResult{Level: 3, Cycles: h.lat3}
-	}
-	h.l3.Fill(blockAddr, true, true)
-	h.l2.Fill(blockAddr, true, true)
-	h.l1.Fill(blockAddr, true, true)
-	return AccessResult{Level: 4, Cycles: h.lat3}
-}
-
-// StoreTouch performs Store's cache-state mutations without assembling
-// an AccessResult: the engine's store path ignores the result (PB
-// acceptance, not the hierarchy, sets store timing), so the kernel
-// replay loop calls this form.
+// StoreTouch performs a write of the block. Under a persistent
+// hierarchy the store simultaneously enters the persist buffer, so the
+// line is marked persist-dirty: its eventual eviction is silently
+// discarded because the PB guarantees the data reaches PM (paper
+// Section IV.C). The store allocates in every level it misses
+// (write-allocate) but needs no fill data from PM: the PB coalesces at
+// word granularity. Store timing is set by PB acceptance, not by the
+// hierarchy, so no latency is reported.
 func (h *Hierarchy) StoreTouch(blockAddr uint64) {
 	if h.l1.AccessPersist(blockAddr) {
 		return

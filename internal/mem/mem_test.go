@@ -110,10 +110,19 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// load performs a read the way the engine does: probe L1, and walk the
+// rest of the hierarchy only on a miss. Level 1 reports an L1 hit.
+func load(h *Hierarchy, blockAddr uint64) AccessResult {
+	if h.L1().AccessRead(blockAddr) {
+		return AccessResult{Level: 1, Cycles: h.L1().Latency()}
+	}
+	return h.LoadAfterL1Miss(blockAddr)
+}
+
 func TestHierarchyLoadLevels(t *testing.T) {
 	cfg := config.Default()
 	h := NewHierarchy(cfg)
-	r := h.Load(0x1000)
+	r := load(h, 0x1000)
 	if r.Level != 4 || !r.PMAccess {
 		t.Fatalf("cold load = %+v, want PM access", r)
 	}
@@ -121,7 +130,7 @@ func TestHierarchyLoadLevels(t *testing.T) {
 	if r.Cycles != wantCold {
 		t.Errorf("cold load cycles = %d, want %d", r.Cycles, wantCold)
 	}
-	r = h.Load(0x1000)
+	r = load(h, 0x1000)
 	if r.Level != 1 || r.Cycles != cfg.L1.AccessCycles {
 		t.Errorf("warm load = %+v, want L1 hit", r)
 	}
@@ -129,16 +138,16 @@ func TestHierarchyLoadLevels(t *testing.T) {
 
 func TestHierarchyStoreNoPMFetch(t *testing.T) {
 	h := NewHierarchy(config.Default())
-	r := h.Store(0x2000)
-	if r.PMAccess {
-		t.Error("PB-backed store fetched from PM")
-	}
-	if r.Level != 4 {
-		t.Errorf("cold store level = %d", r.Level)
+	h.StoreTouch(0x2000)
+	// A PB-backed store write-allocates in every level it misses; the
+	// PB, not PM, supplies the rest of the block.
+	for _, c := range []*Cache{h.L1(), h.L2(), h.L3()} {
+		if !c.Lookup(0x2000) {
+			t.Errorf("%s: store did not allocate the line", c.Name())
+		}
 	}
 	// Store-allocated line serves subsequent loads from L1.
-	lr := h.Load(0x2000)
-	if lr.Level != 1 {
+	if lr := load(h, 0x2000); lr.Level != 1 {
 		t.Errorf("load after store level = %d, want 1", lr.Level)
 	}
 }
@@ -146,13 +155,13 @@ func TestHierarchyStoreNoPMFetch(t *testing.T) {
 func TestHierarchyL2Hit(t *testing.T) {
 	cfg := config.Default()
 	h := NewHierarchy(cfg)
-	h.Load(0x3000)
+	load(h, 0x3000)
 	// Evict from tiny... L1 is 64KB/8-way/128 sets: fill set with 8
 	// conflicting blocks (stride = 128*64 = 8KB).
 	for i := uint64(1); i <= 8; i++ {
-		h.Load(0x3000 + i*8192)
+		load(h, 0x3000+i*8192)
 	}
-	r := h.Load(0x3000)
+	r := load(h, 0x3000)
 	if r.Level != 2 {
 		t.Errorf("level = %d, want 2 (L1 evicted, L2 resident)", r.Level)
 	}
@@ -216,6 +225,6 @@ func TestStoreBufferPanicsOnZeroCap(t *testing.T) {
 func BenchmarkHierarchyLoad(b *testing.B) {
 	h := NewHierarchy(config.Default())
 	for i := 0; i < b.N; i++ {
-		h.Load(uint64(i%100000) * 64)
+		load(h, uint64(i%100000)*64)
 	}
 }

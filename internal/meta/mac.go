@@ -27,7 +27,7 @@ func (ms *MACStore) Put(b addr.Block, tag [crypto.MACSize]byte) {
 	ms.tags.Put(b.Index(), tag)
 }
 
-// PutSlot returns the block's tag cell (creating it), so a batched MAC
+// PutSlot returns the block's tag cell (creating it), so a MAC
 // computation can write the tag in place instead of through a 64-byte
 // value copy. The pointer stays valid for the store's lifetime.
 func (ms *MACStore) PutSlot(b addr.Block) *[crypto.MACSize]byte {

@@ -19,7 +19,7 @@ fi
 
 go test -race ./...
 
-# Exact-zero allocation pins for the kernel hot paths. These carry a
+# Exact-zero allocation pins for the per-op hot paths. These carry a
 # !race build tag — race instrumentation allocates on its own — so they
 # need this uninstrumented pass to run at all.
 go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
@@ -30,23 +30,22 @@ go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Differential fuzzers on their seed corpora: the fast SHA-512 and
-# AES-NI OTP paths must agree with their hand-rolled references (the
-# interleaved multi-buffer MAC lanes included, via FuzzMACLanesVsScalar),
-# the paged table and the persist buffer must agree with their map
-# models, and every seeded corruption must be flagged, on every gate run.
+# AES-NI OTP paths must agree with their hand-rolled references, the
+# paged table and the persist buffer must agree with their map models,
+# and every seeded corruption must be flagged, on every gate run.
 go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/...
 
-# Parallel data plane: the subtree-parallel BMT sweep, the interleaved
-# MAC lanes, and the OTP-prefetch replay pipeline must produce results
-# identical to the serial paths — and do so race-free. These tests force
-# GOMAXPROCS>=2 internally so the parallel code engages even on 1-CPU
-# hosts.
-go test -race \
-    -run 'TestParallelSweepMatchesSerial|TestRunBatchPrefetchMatchesScalar|TestArtifactIdentityParallelSweep|TestCrashMatrixParallelSweepIdentity|TestFaultSweepParallelSweepIdentity' \
-    ./internal/bmt/ ./internal/engine/ ./internal/harness/ \
-    ./internal/crashsim/ ./internal/recovery/
-
+# The benchmark (perfbench/, its own module) compiles against the
+# engine's API. Build and vet it with perfbench/run.sh's environment so
+# an API change that breaks it fails here, not at the next benchmark
+# run.
+(
+    cd perfbench
+    export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTOOLCHAIN=local
+    go build -o /dev/null .
+    go vet .
+)
 
 # Determinism gate: the table4 artifact must be byte-identical between a
 # serial run and a parallel memoized run — the cell memo and the worker
@@ -65,10 +64,9 @@ if ! diff -q "$tmp/table4_serial.txt" "$tmp/table4_parallel.txt"; then
 fi
 echo "table4 identical: serial/-memo=false vs parallel/memoized"
 
-# ... and across the parallel-data-plane knobs: sweep workers and MAC
-# lane width are wall-clock strategies, never allowed to leak into the
-# artifact bytes.
-for knobs in "-parallel 4 -sweepworkers 4 -lanes 4" "-parallel 8 -sweepworkers 8 -lanes 2" "-parallel 4 -cores 1" "-parallel 4 -kernels=false"; do
+# ... and across worker counts and the -cores setting, which are never
+# allowed to leak into the artifact bytes.
+for knobs in "-parallel 4" "-parallel 8" "-parallel 4 -cores 1"; do
     # shellcheck disable=SC2086
     "$tmp/secpb-bench" -exp table4 -ops 5000 $knobs \
         > "$tmp/table4_knobs.txt" 2>&1
@@ -77,7 +75,7 @@ for knobs in "-parallel 4 -sweepworkers 4 -lanes 4" "-parallel 8 -sweepworkers 8
         exit 1
     fi
 done
-echo "table4 identical across sweep-worker, MAC-lane, -cores and -kernels settings"
+echo "table4 identical across worker counts and -cores"
 
 # Persistent cell-cache gate: a warm -memodir run must replay from disk
 # byte-identically, and a corrupted record must be rejected and
@@ -114,18 +112,18 @@ go test -race \
     ./internal/engine/ ./internal/crashsim/ ./internal/recovery/
 
 # Multi-core determinism gate: the battery-sizing grid must be
-# byte-identical between a serial unmemoized run and a parallel run with
-# every data-plane knob turned — core stepping, sweep workers, MAC lanes
-# and the cell memo are all wall-clock strategies, never artifact bits.
+# byte-identical between a serial unmemoized run and a parallel memoized
+# run — cell fan-out, core stepping and the cell memo are wall-clock
+# strategies, never artifact bits.
 "$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 1 -memo=false \
     > "$tmp/multicore_serial.txt" 2>&1
-"$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 8 -sweepworkers 4 -lanes 4 \
+"$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 8 \
     > "$tmp/multicore_knobs.txt" 2>&1
 if ! diff -q "$tmp/multicore_serial.txt" "$tmp/multicore_knobs.txt"; then
-    echo "ERROR: multicore battery grid differs between serial and knobbed parallel runs" >&2
+    echo "ERROR: multicore battery grid differs between serial and parallel runs" >&2
     exit 1
 fi
-echo "multicore battery grid identical: serial vs parallel/knobbed"
+echo "multicore battery grid identical: serial vs parallel"
 
 # Crash-matrix smoke: every SecPB scheme survives a fixed-seed set of
 # injected power failures on a short trace, recovering byte-identically
@@ -133,16 +131,6 @@ echo "multicore battery grid identical: serial vs parallel/knobbed"
 go build -o "$tmp/secpb-crash" ./cmd/secpb-crash
 "$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 \
     -out "$tmp/crash-matrix.json"
-# The crash matrix is kernel-agnostic: crash-sink runs disengage the
-# specialized kernels automatically, and the healthy golden replays
-# must be identical either way.
-"$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 \
-    -kernels=false -out "$tmp/crash-matrix-nokern.json"
-if ! diff -q "$tmp/crash-matrix.json" "$tmp/crash-matrix-nokern.json"; then
-    echo "ERROR: crash matrix differs with -kernels=false" >&2
-    exit 1
-fi
-echo "crash matrix identical with and without specialized kernels"
 
 # Degraded-mode smoke: the fixed-seed fault sweep (six schemes across
 # clean / torn-write / bit-rot media) plus the nested battery-exhaustion
@@ -180,12 +168,12 @@ echo "SPB2 round-trips exactly and is >=2x smaller than SPB1 ($spb1_size -> $spb
 
 # Zoo replay-identity gate: the zoo artifact must be byte-identical
 # between live generation and SPB2 replay of recorded traces, across
-# the parallelism and kernel knobs.
+# worker counts.
 "$tmp/secpb-bench" -exp zoo -ops 3000 -parallel 1 -memo=false \
     > "$tmp/zoo_live.txt" 2>&1
 "$tmp/secpb-bench" -exp zoo -ops 3000 -record -tracedir "$tmp/traces" \
     > "$tmp/zoo_recorded.txt" 2>&1
-"$tmp/secpb-bench" -exp zoo -ops 3000 -tracedir "$tmp/traces" -parallel 4 -kernels=false \
+"$tmp/secpb-bench" -exp zoo -ops 3000 -tracedir "$tmp/traces" -parallel 4 \
     > "$tmp/zoo_replay.txt" 2>&1
 for f in "$tmp/zoo_recorded.txt" "$tmp/zoo_replay.txt"; do
     # Strip the record-phase progress line before comparing.
