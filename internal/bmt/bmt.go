@@ -85,7 +85,19 @@ type Tree struct {
 	// a stack array would escape through the Hasher interface call and
 	// cost one heap allocation per node hash on the drain path.
 	nodeBuf [Arity * DigestSize]byte
+	// version advances on every write to a stored node or to the root
+	// register. verified[l] names the level-l node of the last path
+	// Verify bound to the root register (level height is the register
+	// itself); an entry counts only while its version is current. This
+	// is the on-chip BMT cache's rule: a node checked against the root
+	// stays trusted until the tree changes.
+	version  uint64
+	verified []verifiedNode
 }
+
+// verifiedNode records that node idx of its level was bound to the root
+// register while the tree was at version.
+type verifiedNode struct{ idx, version uint64 }
 
 // New builds an empty tree of the given height (number of hash levels
 // between a leaf and the root) using hasher h.
@@ -115,7 +127,15 @@ func New(h Hasher, height int) (*Tree, error) {
 		t.defaults[l] = truncate(h.HashNode(buf[:]))
 	}
 	t.root = t.defaults[height]
+	t.coldMemo()
 	return t, nil
+}
+
+// coldMemo empties the verified-path memo. Versions start at 1, so the
+// zero-valued entries match no node.
+func (t *Tree) coldMemo() {
+	t.version = 1
+	t.verified = make([]verifiedNode, t.height+1)
 }
 
 // Height returns the number of hash levels from leaf to root.
@@ -251,6 +271,7 @@ func (t *Tree) Sweep() int {
 	}
 	t.root = t.hashChildren(0, t.height-1)
 	n++
+	t.version++
 	t.sweepIdx = idxs[:0]
 	t.physHashes += uint64(n)
 	return n
@@ -262,21 +283,36 @@ func (t *Tree) Sweep() int {
 // tampering of the counter line or of stored tree nodes — including
 // consistent tampering of a whole path — is detected because the root
 // register is on-chip.
+//
+// The leaf is hashed against counterLine on every call. The walk up
+// stops at the first ancestor an earlier Verify already bound to the
+// root at the current version: the tree has not changed since, so that
+// ancestor's stored children — the node the walk came from among them —
+// are bound too. A successful walk records the nodes it checked.
 func (t *Tree) Verify(page uint64, counterLine []byte) error {
 	t.Sweep()
-	idx := t.leafIndex(page)
-	if got, want := t.node(0, idx), t.LeafHash(counterLine); got != want {
-		return fmt.Errorf("bmt: leaf %d does not match counter line (stale or tampered counter)", idx)
+	leaf := t.leafIndex(page)
+	if got, want := t.node(0, leaf), t.LeafHash(counterLine); got != want {
+		return fmt.Errorf("bmt: leaf %d does not match counter line (stale or tampered counter)", leaf)
 	}
-	for l := 1; l < t.height; l++ {
+	idx, top := leaf, t.height+1
+	for l := 1; l <= t.height; l++ {
 		parent := idx / Arity
-		if got, want := t.node(l, parent), t.hashChildren(parent, l-1); got != want {
+		if t.verified[l] == (verifiedNode{parent, t.version}) {
+			top = l
+			break
+		}
+		if l == t.height {
+			if t.hashChildren(0, t.height-1) != t.root {
+				return fmt.Errorf("bmt: root register mismatch")
+			}
+		} else if t.node(l, parent) != t.hashChildren(parent, l-1) {
 			return fmt.Errorf("bmt: node mismatch at level %d index %d", l, parent)
 		}
 		idx = parent
 	}
-	if got := t.hashChildren(0, t.height-1); got != t.root {
-		return fmt.Errorf("bmt: root register mismatch")
+	for l, idx := 1, leaf/Arity; l < top; l, idx = l+1, idx/Arity {
+		t.verified[l] = verifiedNode{idx, t.version}
 	}
 	return nil
 }
@@ -304,8 +340,12 @@ func (t *Tree) AppendPathNodeIDs(dst []uint64, page uint64) []uint64 {
 // SetHasher re-homes the tree on a different hasher. A controller
 // restored from a crash snapshot uses it to hash with its own fresh
 // crypto engine; for the same key the results are identical, so stored
-// nodes, defaults and the root register all remain valid.
-func (t *Tree) SetHasher(h Hasher) { t.h = h }
+// nodes, defaults and the root register all remain valid. Paths
+// verified under the old hasher are verified again under the new one.
+func (t *Tree) SetHasher(h Hasher) {
+	t.h = h
+	t.version++
+}
 
 // Node returns the stored hash at (level, idx) and whether that node was
 // ever materialized (attack/test primitive: tamper experiments read a
@@ -333,12 +373,15 @@ func (t *Tree) Tamper(level int, idx uint64, newHash Digest) error {
 		return fmt.Errorf("bmt: node (%d,%d) not materialized", level, idx)
 	}
 	*v = newHash
+	t.version++
 	return nil
 }
 
 // Snapshot deep-copies the tree (the persisted PM image plus the NV root
 // register at a crash point). Staged updates are committed first: an
 // Update models a persisted walk, so the crash image must contain it.
+// The copy's verified-path memo starts cold: it models a fresh chip's
+// empty BMT cache.
 func (t *Tree) Snapshot() *Tree {
 	t.Sweep()
 	cp := &Tree{
@@ -355,6 +398,7 @@ func (t *Tree) Snapshot() *Tree {
 		cp.levels[l] = t.levels[l].Clone()
 	}
 	cp.pending = make(map[uint64][]byte)
+	cp.coldMemo()
 	return cp
 }
 

@@ -169,6 +169,195 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// countingHasher counts node hashes, so a test can see how much of a
+// path Verify walked.
+type countingHasher struct {
+	h Hasher
+	n int
+}
+
+func (c *countingHasher) HashNode(children []byte) [crypto.Size512]byte {
+	c.n++
+	return c.h.HashNode(children)
+}
+
+// hashesFor returns how many node hashes one Verify call computed, and
+// fails the test if the call did not verify.
+func hashesFor(t *testing.T, tr *Tree, c *countingHasher, page uint64, line []byte) int {
+	t.Helper()
+	c.n = 0
+	if err := tr.Verify(page, line); err != nil {
+		t.Fatalf("verify page %d: %v", page, err)
+	}
+	return c.n
+}
+
+func TestVerifyMemoInvalidation(t *testing.T) {
+	e, err := crypto.NewEngine([]byte("bmt test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pages 3 and 5 share a leaf group; 100 sits in another subtree.
+	line3, line5, line100 := lineBytes(0, 3), lineBytes(0, 5), lineBytes(0, 100)
+	build := func() (*Tree, *countingHasher) {
+		c := &countingHasher{h: e}
+		tr, err := New(c, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Update(3, line3)
+		tr.Update(5, line5)
+		tr.Update(100, line100)
+		tr.Sweep()
+		return tr, c
+	}
+	fullWalk := 4 + 1 // leaf + three interior levels + root register
+
+	t.Run("memo", func(t *testing.T) {
+		tr, c := build()
+		if got := hashesFor(t, tr, c, 3, line3); got != fullWalk {
+			t.Fatalf("cold verify hashed %d nodes, want %d", got, fullWalk)
+		}
+		if got := hashesFor(t, tr, c, 3, line3); got != 1 {
+			t.Fatalf("warm verify hashed %d nodes, want the leaf only", got)
+		}
+		if err := tr.Verify(3, lineBytes(0, 4)); err == nil {
+			t.Fatal("warm verify accepted a wrong counter line")
+		}
+	})
+
+	t.Run("tamper on a verified path", func(t *testing.T) {
+		var evil Digest
+		evil[0] = 0xFF
+		for level := 0; level < 4; level++ {
+			tr, _ := build()
+			if err := tr.Verify(3, line3); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Tamper(level, 3>>(3*level), evil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Verify(3, line3); err == nil {
+				t.Errorf("tamper at level %d of a verified path undetected", level)
+			}
+		}
+		// A sibling leaf's tamper leaves page 3's own leaf intact; only
+		// re-walking the shared parent catches it.
+		tr, _ := build()
+		if err := tr.Verify(3, line3); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Tamper(0, 5, evil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Verify(3, line3); err == nil {
+			t.Error("sibling leaf tamper undetected after page 3 was verified")
+		}
+	})
+
+	t.Run("sweep of a sibling page", func(t *testing.T) {
+		tr, c := build()
+		if err := tr.Verify(3, line3); err != nil {
+			t.Fatal(err)
+		}
+		newLine5 := lineBytes(1, 5)
+		tr.Update(5, newLine5)
+		tr.Sweep()
+		if got := hashesFor(t, tr, c, 3, line3); got != fullWalk {
+			t.Errorf("verify after a sweep hashed %d nodes, want a full walk of %d", got, fullWalk)
+		}
+		if err := tr.Verify(5, newLine5); err != nil {
+			t.Errorf("swept sibling rejected: %v", err)
+		}
+		if err := tr.Verify(5, line5); err == nil {
+			t.Error("sibling's stale line accepted after the sweep")
+		}
+		if err := tr.Verify(100, line100); err != nil {
+			t.Errorf("untouched page rejected: %v", err)
+		}
+	})
+
+	t.Run("SetHasher", func(t *testing.T) {
+		tr, c := build()
+		if err := tr.Verify(3, line3); err != nil {
+			t.Fatal(err)
+		}
+		c.n = 0
+		c2 := &countingHasher{h: e}
+		tr.SetHasher(c2)
+		if got := hashesFor(t, tr, c2, 3, line3); got != fullWalk {
+			t.Errorf("verify after SetHasher hashed %d nodes, want a full walk of %d", got, fullWalk)
+		}
+		if c.n != 0 {
+			t.Errorf("old hasher still used %d times", c.n)
+		}
+	})
+
+	t.Run("Snapshot starts cold", func(t *testing.T) {
+		tr, c := build()
+		if err := tr.Verify(3, line3); err != nil {
+			t.Fatal(err)
+		}
+		snap := tr.Snapshot()
+		if got := hashesFor(t, snap, c, 3, line3); got != fullWalk {
+			t.Errorf("snapshot's first verify hashed %d nodes, want a full walk of %d", got, fullWalk)
+		}
+		if got := hashesFor(t, tr, c, 3, line3); got != 1 {
+			t.Errorf("snapshot disturbed the original's memo: %d hashes, want 1", got)
+		}
+	})
+}
+
+// FuzzVerifyMemo runs random Update/Sweep/Tamper sequences on a small
+// tree and, after every step, checks that Verify on the memoized tree
+// answers exactly as a cold Verify on a snapshot of it does.
+func FuzzVerifyMemo(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 3, 3, 1, 0, 5, 2, 3, 0, 5, 2, 1, 3, 3, 3, 0})
+	f.Add([]byte{0, 9, 7, 0, 10, 7, 3, 9, 7, 2, 9, 1, 3, 10, 7, 1, 0, 0, 3, 9, 7})
+	f.Add([]byte{0, 1, 1, 0, 200, 2, 1, 0, 0, 3, 1, 1, 2, 200, 0, 3, 1, 1, 3, 200, 2})
+	e, err := crypto.NewEngine([]byte("bmt fuzz"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		tr, err := New(e, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := map[uint64][]byte{}
+		for i := 0; i+3 <= len(tape); i += 3 {
+			op, page, arg := tape[i]%4, uint64(tape[i+1]), tape[i+2]
+			switch op {
+			case 0:
+				lines[page] = lineBytes(uint64(arg), arg)
+				tr.Update(page, lines[page])
+			case 1:
+				tr.Sweep()
+			case 2:
+				level := int(arg % 3)
+				idx := tr.leafIndex(page) >> (3 * level)
+				if d, ok := tr.Node(level, idx); ok {
+					d[0] ^= arg | 1
+					if err := tr.Tamper(level, idx, d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Check the page the step named against its current line,
+			// or against a line it never held.
+			line := lines[page]
+			if op == 3 && arg&1 == 1 || line == nil {
+				line = lineBytes(uint64(arg)+1000, arg)
+			}
+			warm := tr.Verify(page, line)
+			cold := tr.Snapshot().Verify(page, line)
+			if (warm == nil) != (cold == nil) || warm != nil && warm.Error() != cold.Error() {
+				t.Fatalf("step %d: memoized verify of page %d = %v, cold verify = %v", i/3, page, warm, cold)
+			}
+		}
+	})
+}
+
 func TestPathNodeIDs(t *testing.T) {
 	tr, _ := newTestTree(t, 4)
 	ids := tr.PathNodeIDs(100)

@@ -28,13 +28,17 @@ type Journal struct {
 	entries   []core.Entry
 	done      int
 	sweepDone bool
+	body      uint64 // checksum of the entries, taken once at capture
 	sum       uint64
 }
 
 // NewJournal captures the entries (copied; the caller's slice is not
-// retained) and seals the initial checksum.
+// retained) and seals the initial checksum. The entries never change
+// after capture, so their checksum is computed here once; a cursor
+// update re-signs only the header over it.
 func NewJournal(entries []core.Entry) *Journal {
 	j := &Journal{entries: append([]core.Entry(nil), entries...)}
+	j.body = hashEntries(fnvOffset, j.entries)
 	j.seal()
 	return j
 }
@@ -52,25 +56,29 @@ func (j *Journal) Remaining() int { return len(j.entries) - j.done }
 // sweep committed.
 func (j *Journal) Complete() bool { return j.done == len(j.entries) && j.sweepDone }
 
-// checksum hashes the journal contents: cursor, sweep flag, and every
-// entry's identity and payload (block, data, coalescing metadata, and
-// the prepared-tuple fields with their valid bits).
-func (j *Journal) checksum() uint64 {
+// checksum signs the journal header — cursor, sweep flag, entry count —
+// over body, the checksum of the entries.
+func (j *Journal) checksum(body uint64) uint64 {
+	var buf [8]byte
 	h := fnvOffset
+	for _, v := range [...]uint64{uint64(j.done), boolBits(j.sweepDone), uint64(len(j.entries)), body} {
+		putU64(buf[:], v)
+		h = fnvAdd(h, buf[:])
+	}
+	return h
+}
+
+// hashEntries folds every entry's identity and payload (block, data,
+// coalescing metadata, and the prepared-tuple fields with their valid
+// bits) into the running FNV-1a hash h.
+func hashEntries(h uint64, entries []core.Entry) uint64 {
 	var buf [8]byte
 	u64 := func(v uint64) {
 		putU64(buf[:], v)
 		h = fnvAdd(h, buf[:])
 	}
-	u64(uint64(j.done))
-	if j.sweepDone {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(uint64(len(j.entries)))
-	for i := range j.entries {
-		e := &j.entries[i]
+	for i := range entries {
+		e := &entries[i]
 		u64(e.Block.Addr())
 		h = fnvAdd(h, e.Data[:])
 		u64(uint64(e.ASID))
@@ -117,12 +125,13 @@ func putU64(dst []byte, v uint64) {
 }
 
 // seal re-signs the journal after a durable update.
-func (j *Journal) seal() { j.sum = j.checksum() }
+func (j *Journal) seal() { j.sum = j.checksum(j.body) }
 
 // Validate checks the journal against its checksum, returning a typed
-// *nvm.CorruptStateError on mismatch.
+// *nvm.CorruptStateError on mismatch. The entries are hashed afresh, so
+// damage to any entry is caught as surely as damage to the header.
 func (j *Journal) Validate() error {
-	if got := j.checksum(); got != j.sum {
+	if got := j.checksum(hashEntries(fnvOffset, j.entries)); got != j.sum {
 		return &nvm.CorruptStateError{
 			Component: "late-work journal",
 			Detail: fmt.Sprintf("checksum %#x does not match stored %#x over %d entries (cursor %d)",

@@ -164,3 +164,49 @@ func TestDrainRejectsTamperedJournal(t *testing.T) {
 		t.Error("corrupt journal still wrote to PM")
 	}
 }
+
+// TestResumeRejectsTamperAfterNestedCrash damages a journal between a
+// nested crash and the resuming boot: the cursor advances re-signed the
+// header only, yet the resume must still hash the entries afresh and
+// refuse them before draining anything. A cursor moved without a reseal
+// must be refused the same way.
+func TestResumeRejectsTamperAfterNestedCrash(t *testing.T) {
+	mc, entries := pendingImage(t, config.SchemeCOBCM)
+	cfg := mc.Config()
+	perJ, err := energy.PerEntryDrainJ(cfg.Scheme, cfg.BMTLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(entries)
+	if _, err := DrainEntriesBudget(mc, j, energy.NewBudget(2.5*perJ)); !errors.Is(err, ErrBatteryExhausted) {
+		t.Fatalf("budget of 2.5 entries did not exhaust: %v", err)
+	}
+	if j.Done() == 0 || j.Complete() {
+		t.Fatalf("nested crash left cursor %d of %d; want a partial drain", j.Done(), j.Len())
+	}
+
+	resume := func(what string) {
+		t.Helper()
+		_, writesBefore := mc.PM().Stats()
+		_, err := DrainEntriesBudget(mc, j, nil)
+		var corrupt *nvm.CorruptStateError
+		if !errors.As(err, &corrupt) || corrupt.Component != "late-work journal" {
+			t.Fatalf("%s: resume returned %v, want a late-work journal *nvm.CorruptStateError", what, err)
+		}
+		if _, writesAfter := mc.PM().Stats(); writesAfter != writesBefore {
+			t.Errorf("%s: refused resume still wrote to PM", what)
+		}
+	}
+
+	if err := j.Tamper(); err != nil {
+		t.Fatal(err)
+	}
+	resume("tampered entry")
+
+	j.entries[0].Data[0] ^= 1 // undo the tamper: the journal validates again
+	if err := j.Validate(); err != nil {
+		t.Fatalf("restored journal rejected: %v", err)
+	}
+	j.done--
+	resume("cursor rewound without reseal")
+}

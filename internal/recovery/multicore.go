@@ -75,22 +75,7 @@ func (j *SystemJournal) checksum() uint64 {
 		p := &j.parts[i]
 		u64(uint64(p.Core))
 		u64(uint64(len(p.Entries)))
-		for k := range p.Entries {
-			e := &p.Entries[k]
-			u64(e.Block.Addr())
-			h = fnvAdd(h, e.Data[:])
-			u64(uint64(e.ASID))
-			u64(uint64(e.Writes))
-			u64(e.Seq)
-			m := &e.Ext
-			u64(boolBits(m.OTPValid) | boolBits(m.CipherValid)<<1 | boolBits(m.CounterValid)<<2 |
-				boolBits(m.BMTDone)<<3 | boolBits(m.MACValid)<<4)
-			h = fnvAdd(h, m.OTP[:])
-			h = fnvAdd(h, m.Cipher[:])
-			u64(m.Counter)
-			u64(uint64(m.CounterAdvance))
-			h = fnvAdd(h, m.MAC[:])
-		}
+		h = hashEntries(h, p.Entries)
 	}
 	return h
 }

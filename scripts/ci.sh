@@ -29,11 +29,12 @@ go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
 # otherwise go unnoticed until the next perf run.
 go test -run '^$' -bench . -benchtime 1x ./...
 
-# Differential fuzzers on their seed corpora: the fast SHA-512 and
-# AES-NI OTP paths must agree with their hand-rolled references, the
-# paged table and the persist buffer must agree with their map models,
-# and every seeded corruption must be flagged, on every gate run.
-go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
+# Differential fuzzers on their seed corpora: the memoized BMT verify
+# must answer as a cold one does, the fast SHA-512 and AES-NI OTP paths
+# must agree with their hand-rolled references, the paged table and the
+# persist buffer must agree with their map models, and every seeded
+# corruption must be flagged, on every gate run.
+go test -run Fuzz ./internal/bmt/... ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/...
 
 # The benchmark (perfbench/, its own module) compiles against the

@@ -15,6 +15,9 @@
 #   6. store hot path + persistent grid cache (BENCH_PR8.json):
 #      BenchmarkEngineStore medians, and cold vs warm -memodir wall-clock
 #      with byte-identity checks.
+#   7. crash-matrix cost per crash point: BenchmarkCrashMatrix medians
+#      (the benchmark's crash shape at 50 points per cell; the end-to-end
+#      figure is perfbench's crash workload).
 #
 # Run on an idle machine; results land in /tmp/secpb-perf/. The JSON in
 # BENCH_PR1.json is assembled by hand from these outputs together with a
@@ -129,3 +132,9 @@ if ! diff -q "$out/all_cold.txt" "$out/all_corrupt.txt" > /dev/null; then
 fi
 echo "exp all identical: cold vs warm vs corrupted -memodir"
 cat "$out/timing_cold.json" "$out/timing_warm.json"
+
+echo "== crash matrix: cost per crash point =="
+# Snapshot, late-work drain, audit and four-way verification per point;
+# median of 5 x 3 iterations.
+go test -bench 'BenchmarkCrashMatrix$' -benchmem -benchtime 3x -count 5 \
+    -run '^$' ./internal/crashsim/ | tee "$out/bench_crash.txt"
