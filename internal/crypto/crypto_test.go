@@ -2,211 +2,42 @@ package crypto
 
 import (
 	"bytes"
-	stdaes "crypto/aes"
-	stdsha "crypto/sha512"
+	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
-
-	"secpb/internal/xrand"
 )
 
-// FIPS-197 Appendix C known-answer vectors.
-func TestAESFIPS197Vectors(t *testing.T) {
-	plain, _ := hex.DecodeString("00112233445566778899aabbccddeeff")
-	cases := []struct {
-		key, want string
-	}{
-		{"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
-		{"000102030405060708090a0b0c0d0e0f1011121314151617", "dda97ca4864cdfe06eaf70a0ec0d7191"},
-		{"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", "8ea2b7ca516745bfeafc49904b496089"},
-	}
-	for _, tc := range cases {
-		key, _ := hex.DecodeString(tc.key)
-		want, _ := hex.DecodeString(tc.want)
-		c, err := NewCipher(key)
+// TestEngineKnownAnswer pins the engine's output bytes: sub-key
+// derivation, the OTP seed layout, and the MAC and node key blocks all
+// feed one sha256 over pads, tags and node hashes (including the empty,
+// one-block-boundary and multi-block node inputs) under three keys. Any
+// drift fails here, not only in the artifact pins of golden_test.go.
+func TestEngineKnownAnswer(t *testing.T) {
+	const want = "dd5ca133231202917ae8368ccd18bacc3d37339736362cbbdce5fabbd4642721"
+	h := sha256.New()
+	for _, key := range []string{"secpb-experiment-key", "", "k"} {
+		e, err := NewEngine([]byte(key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]byte, 16)
-		c.Encrypt(got, plain)
-		if !bytes.Equal(got, want) {
-			t.Errorf("AES-%d encrypt = %x, want %x", len(key)*8, got, want)
-		}
-		dec := make([]byte, 16)
-		c.Decrypt(dec, got)
-		if !bytes.Equal(dec, plain) {
-			t.Errorf("AES-%d decrypt = %x, want %x", len(key)*8, dec, plain)
-		}
-	}
-}
-
-func TestAESMatchesStdlib(t *testing.T) {
-	r := xrand.New(1)
-	for trial := 0; trial < 200; trial++ {
-		keyLen := []int{16, 24, 32}[trial%3]
-		key := make([]byte, keyLen)
-		src := make([]byte, 16)
-		for i := range key {
-			key[i] = byte(r.Uint64())
-		}
-		for i := range src {
-			src[i] = byte(r.Uint64())
-		}
-		ours, err := NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := stdaes.NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 16)
-		want := make([]byte, 16)
-		ours.Encrypt(got, src)
-		ref.Encrypt(want, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: AES-%d mismatch vs stdlib", trial, keyLen*8)
+		for i := uint64(0); i < 64; i++ {
+			pad := e.OTP(i<<6|i<<40, 7*i+1)
+			h.Write(pad[:])
+			var ct [CacheLineSize]byte
+			for j := range ct {
+				ct[j] = byte(31*i + uint64(j))
+			}
+			tag := e.MAC(&ct, i<<6, i)
+			h.Write(tag[:])
+			for _, n := range []int{0, 64, 111, 112, 300} {
+				node := e.HashNode(make([]byte, n))
+				h.Write(node[:])
+			}
 		}
 	}
-}
-
-// TestAESTableMatchesGeneric cross-checks the T-table encrypt fast path
-// against the independent matrix implementation for all key sizes.
-func TestAESTableMatchesGeneric(t *testing.T) {
-	r := xrand.New(7)
-	for trial := 0; trial < 300; trial++ {
-		keyLen := []int{16, 24, 32}[trial%3]
-		key := make([]byte, keyLen)
-		src := make([]byte, 16)
-		for i := range key {
-			key[i] = byte(r.Uint64())
-		}
-		for i := range src {
-			src[i] = byte(r.Uint64())
-		}
-		c, err := NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast := make([]byte, 16)
-		ref := make([]byte, 16)
-		c.Encrypt(fast, src)
-		c.encryptGeneric(ref, src)
-		if !bytes.Equal(fast, ref) {
-			t.Fatalf("trial %d: AES-%d table path %x != generic %x", trial, keyLen*8, fast, ref)
-		}
-	}
-}
-
-func TestAESDecryptInverts(t *testing.T) {
-	check := func(key [16]byte, block [16]byte) bool {
-		c, err := NewCipher(key[:])
-		if err != nil {
-			return false
-		}
-		ct := make([]byte, 16)
-		pt := make([]byte, 16)
-		c.Encrypt(ct, block[:])
-		c.Decrypt(pt, ct)
-		return bytes.Equal(pt, block[:])
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAESKeySizeErrors(t *testing.T) {
-	for _, n := range []int{0, 1, 15, 17, 33} {
-		if _, err := NewCipher(make([]byte, n)); err == nil {
-			t.Errorf("NewCipher accepted %d-byte key", n)
-		}
-	}
-}
-
-func TestAESShortBlockPanics(t *testing.T) {
-	c, _ := NewCipher(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short block did not panic")
-		}
-	}()
-	c.Encrypt(make([]byte, 16), make([]byte, 15))
-}
-
-func TestSHA512KnownVectors(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"", "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
-		{"abc", "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"},
-		{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-			"8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"},
-	}
-	for _, tc := range cases {
-		got := Sum512([]byte(tc.in))
-		if hex.EncodeToString(got[:]) != tc.want {
-			t.Errorf("SHA512(%q) = %x", tc.in, got)
-		}
-	}
-}
-
-func TestSHA512MatchesStdlibAllLengths(t *testing.T) {
-	r := xrand.New(2)
-	for n := 0; n < 300; n++ {
-		msg := make([]byte, n)
-		for i := range msg {
-			msg[i] = byte(r.Uint64())
-		}
-		got := Sum512(msg)
-		want := stdsha.Sum512(msg)
-		if got != want {
-			t.Fatalf("length %d: digest mismatch vs stdlib", n)
-		}
-	}
-}
-
-func TestSHA512IncrementalWrite(t *testing.T) {
-	msg := bytes.Repeat([]byte("secpb"), 100)
-	whole := Sum512(msg)
-	s := NewSHA512()
-	for i := 0; i < len(msg); i += 7 {
-		end := i + 7
-		if end > len(msg) {
-			end = len(msg)
-		}
-		s.Write(msg[i:end])
-	}
-	var got [Size512]byte
-	copy(got[:], s.Sum(nil))
-	if got != whole {
-		t.Error("incremental digest differs from one-shot digest")
-	}
-}
-
-func TestSHA512SumNonDestructive(t *testing.T) {
-	s := NewSHA512()
-	s.Write([]byte("hello "))
-	first := s.Sum(nil)
-	second := s.Sum(nil)
-	if !bytes.Equal(first, second) {
-		t.Fatal("Sum modified state")
-	}
-	s.Write([]byte("world"))
-	full := s.Sum(nil)
-	want := stdsha.Sum512([]byte("hello world"))
-	if !bytes.Equal(full, want[:]) {
-		t.Error("continued write after Sum produced wrong digest")
-	}
-}
-
-func TestSHA512Reset(t *testing.T) {
-	s := NewSHA512()
-	s.Write([]byte("garbage"))
-	s.Reset()
-	s.Write([]byte("abc"))
-	got := s.Sum(nil)
-	want := stdsha.Sum512([]byte("abc"))
-	if !bytes.Equal(got, want[:]) {
-		t.Error("Reset did not restore initial state")
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("engine output digest = %s, want %s", got, want)
 	}
 }
 
@@ -299,24 +130,6 @@ func TestHashNodeDomainSeparation(t *testing.T) {
 	n2 := e.HashNode([]byte{1, 2, 3})
 	if node == n2 {
 		t.Error("HashNode ignores input")
-	}
-}
-
-func BenchmarkAESEncryptBlock(b *testing.B) {
-	c, _ := NewCipher(make([]byte, 16))
-	src := make([]byte, 16)
-	dst := make([]byte, 16)
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		c.Encrypt(dst, src)
-	}
-}
-
-func BenchmarkSHA512Block(b *testing.B) {
-	msg := make([]byte, 128)
-	b.SetBytes(128)
-	for i := 0; i < b.N; i++ {
-		Sum512(msg)
 	}
 }
 

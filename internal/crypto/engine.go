@@ -1,8 +1,18 @@
+// Package crypto is SecPB's memory-controller crypto engine: counter-mode
+// one-time pads from AES-128, and block MACs and BMT node hashes from
+// keyed SHA-512. The primitives are the Go standard library's
+// (crypto/aes, crypto/sha512); this package supplies the engine around
+// them — sub-key derivation, the (address, counter) seed layout, the
+// keyed-midstate MAC and node-hash constructions — plus one-shot
+// composition references the tests hold the fast paths against. The
+// simulator charges crypto as fixed latencies (Table I); the engine
+// models a hardware unit and must never be used to protect real data.
 package crypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha512"
 	"encoding/binary"
 	"sync"
 )
@@ -15,6 +25,15 @@ const CacheLineSize = 64
 // reserves 512 bits per MAC.
 const MACSize = 64
 
+const (
+	// BlockSize is the AES block size in bytes.
+	BlockSize = aes.BlockSize
+	// Size512 is the SHA-512 digest size in bytes.
+	Size512 = sha512.Size
+	// BlockBytes is the SHA-512 compression block size in bytes.
+	BlockBytes = sha512.BlockSize
+)
+
 // Engine is the memory controller's cryptographic engine: it derives
 // one-time pads from (address, counter) seeds, XORs pads with plaintext
 // (counter-mode encryption), and computes block MACs and BMT node hashes.
@@ -25,18 +44,14 @@ const MACSize = 64
 //
 // MAC and HashNode are keyed-midstate constructions over a full 128-byte
 // key block (see fast512.go): the hot path restores a cached midstate and
-// compresses a single final block via stdlib crypto/sha512, while
-// MACReference / HashNodeReference recompute the same digests on the
-// hand-rolled SHA512 for differential testing.
+// compresses a single final block, while MACReference /
+// HashNodeReference assemble the documented message and hash it in one
+// shot for differential testing.
 type Engine struct {
-	aes *Cipher
-	// fastAES is the stdlib AES cipher for the same sub-key: on amd64 it
-	// compiles to AES-NI instructions, so the pad-generation hot path
-	// costs a few cycles per block instead of a T-table round loop. The
-	// hand-rolled Cipher remains the differential-test reference
-	// (OTPReference, FuzzOTPFastVsReference).
-	fastAES cipher.Block
-	macKey  [32]byte
+	// aes is the AES-128 pad generator under the derived sub-key
+	// (AES-NI on amd64). Immutable and shared across engines.
+	aes    cipher.Block
+	macKey [32]byte
 	// fast is the per-engine stdlib digest (plus scratch) the midstates
 	// are restored into; macMid/nodeMid are the shared, immutable
 	// key-block midstates. The engine models one hardware unit and is
@@ -57,14 +72,14 @@ type Engine struct {
 // derived is the cacheable, immutable part of an engine: the expanded
 // AES key schedule, the MAC sub-key, and the key-block midstates for the
 // fast hash path. Experiment sweeps build hundreds of controllers under
-// the same master key (one per simulated system); caching the derivation
-// means the SHA-512 key stretch, the Rijndael key expansion, and the two
-// midstate captures run once per distinct key, not once per simulation.
-// The *Cipher and midstate slices are shared across engines — they are
+// the same master key (one per simulated system, and one per crash point
+// through nvm.Restore); caching the derivation means the SHA-512 key
+// stretch, the AES key expansion, and the two midstate captures (with
+// their self-checks) run once per distinct key, not once per simulation.
+// The cipher and midstate slices are shared across engines — they are
 // immutable and safe for concurrent use.
 type derived struct {
-	aes     *Cipher
-	fastAES cipher.Block
+	aes     cipher.Block
 	macKey  [32]byte
 	macMid  []byte
 	nodeMid []byte
@@ -92,19 +107,12 @@ func NewEngine(key []byte) (*Engine, error) {
 	if !ok {
 		// Derive independent sub-keys via SHA-512 so a single master
 		// secret configures the whole engine.
-		sum := Sum512(append([]byte("secpb-engine-v1:"), key...))
-		aesRef, err := NewCipher(sum[:16]) // AES-128 pad generator
+		sum := sha512.Sum512(append([]byte("secpb-engine-v1:"), key...))
+		block, err := aes.NewCipher(sum[:16]) // AES-128 pad generator
 		if err != nil {
 			return nil, err
 		}
-		d = derived{aes: aesRef}
-		// The stdlib cipher is pure acceleration: same AES-128 under the
-		// same sub-key, hardware instructions where available. A nil
-		// fastAES (cannot happen for a valid 16-byte key) would simply
-		// leave the reference path in use.
-		if std, err := aes.NewCipher(sum[:16]); err == nil {
-			d.fastAES = std
-		}
+		d = derived{aes: block}
 		copy(d.macKey[:], sum[16:48])
 		macBlock := keyBlock(&d.macKey)
 		nodeBlock := keyBlock(&d.macKey, 0xB7) // domain separation from MAC
@@ -128,7 +136,7 @@ func NewEngine(key []byte) (*Engine, error) {
 		deriveCache[k] = d
 		deriveMu.Unlock()
 	}
-	e := &Engine{aes: d.aes, fastAES: d.fastAES, macKey: d.macKey}
+	e := &Engine{aes: d.aes, macKey: d.macKey}
 	if d.fastOK {
 		if fast, ok := newFastHasher(); ok {
 			e.fast = fast
@@ -142,9 +150,8 @@ func NewEngine(key []byte) (*Engine, error) {
 
 // OTP computes the 64-byte one-time pad for a block at the given physical
 // block address with the given counter value. The pad is the AES
-// encryption of four distinct (addr, counter, lane) seeds. The stdlib
-// cipher (AES-NI on amd64) computes it when available; OTPReference is
-// the hand-rolled oracle the differential fuzzer holds it against.
+// encryption of four distinct (addr, counter, lane) seeds; OTPReference
+// is the oracle the differential fuzzer holds it against.
 func (e *Engine) OTP(blockAddr uint64, counter uint64) [CacheLineSize]byte {
 	var pad [CacheLineSize]byte
 	e.OTPInto(&pad, blockAddr, counter)
@@ -156,19 +163,19 @@ func (e *Engine) OTP(blockAddr uint64, counter uint64) [CacheLineSize]byte {
 // copies when the pad's destination (a persist-buffer entry field)
 // already exists.
 func (e *Engine) OTPInto(dst *[CacheLineSize]byte, blockAddr uint64, counter uint64) {
-	if e.fastAES == nil {
-		*dst = e.OTPReference(blockAddr, counter)
-		return
-	}
 	binary.LittleEndian.PutUint64(e.otpSeed[0:], blockAddr)
 	for lane := 0; lane < CacheLineSize/BlockSize; lane++ {
 		binary.LittleEndian.PutUint64(e.otpSeed[8:], counter<<2|uint64(lane))
-		e.fastAES.Encrypt(dst[lane*BlockSize:], e.otpSeed[:])
+		e.aes.Encrypt(dst[lane*BlockSize:], e.otpSeed[:])
 	}
 }
 
-// OTPReference computes the same pad on the from-scratch T-table AES —
-// the differential-test oracle for the fast path.
+// OTPReference computes the same pad by building each documented seed
+//
+//	addr (8 bytes LE) || counter<<2 | lane (8 bytes LE)
+//
+// in a fresh buffer and encrypting it into a fresh pad — the
+// differential-test oracle for OTPInto's shared seed scratch.
 func (e *Engine) OTPReference(blockAddr uint64, counter uint64) [CacheLineSize]byte {
 	var pad [CacheLineSize]byte
 	var seed [BlockSize]byte
@@ -234,8 +241,8 @@ func (e *Engine) MACInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockA
 	*dst = e.MACReference(cipher, blockAddr, counter)
 }
 
-// MACReference computes the same tag as MAC on the hand-rolled SHA512,
-// by literally assembling the documented message
+// MACReference computes the same tag as MAC by literally assembling the
+// documented message
 //
 //	macBlock || addr || ctr || ct
 //
@@ -250,35 +257,29 @@ func (e *Engine) MACReference(cipher *[CacheLineSize]byte, blockAddr, counter ui
 	msg = binary.LittleEndian.AppendUint64(msg, blockAddr)
 	msg = binary.LittleEndian.AppendUint64(msg, counter)
 	msg = append(msg, cipher[:]...)
-	return Sum512(msg)
+	return sha512.Sum512(msg)
 }
 
 // HashNode computes a keyed BMT node hash over arbitrary child material.
-// BMT interior nodes (8 children × 8-byte digests = 64 bytes) fit the
-// single-compression fast path; longer inputs stream through the stdlib
-// digest from the same midstate.
+// Every BMT input — an interior node (8 children × 8-byte digests, 64
+// bytes) or a serialized counter line (72 bytes) — fits the
+// single-compression fast path; an input longer than maxOneBlockTail
+// takes the reference.
 func (e *Engine) HashNode(children []byte) [Size512]byte {
-	if e.fastOK {
-		var out [Size512]byte
-		if len(children) <= maxOneBlockTail {
-			if e.fast.oneBlock(e.nodeMid, children, &out) {
-				return out
-			}
-		} else if e.fast.long(e.nodeMid, children, &out) {
-			return out
-		}
+	var out [Size512]byte
+	if e.fastOK && e.fast.oneBlock(e.nodeMid, children, &out) {
+		return out
 	}
 	return e.HashNodeReference(children)
 }
 
-// HashNodeReference computes the same digest as HashNode on the
-// hand-rolled SHA512, assembling the documented nodeBlock || children
-// message and hashing it in one shot, favoring obvious correctness over
-// speed.
+// HashNodeReference computes the same digest as HashNode by assembling
+// the documented nodeBlock || children message and hashing it in one
+// shot, favoring obvious correctness over speed.
 func (e *Engine) HashNodeReference(children []byte) [Size512]byte {
 	block := keyBlock(&e.macKey, 0xB7)
 	msg := make([]byte, 0, BlockBytes+len(children))
 	msg = append(msg, block[:]...)
 	msg = append(msg, children...)
-	return Sum512(msg)
+	return sha512.Sum512(msg)
 }

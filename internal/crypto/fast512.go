@@ -1,7 +1,7 @@
 package crypto
 
 import (
-	stdsha "crypto/sha512"
+	"crypto/sha512"
 	"encoding"
 	"encoding/binary"
 	"hash"
@@ -9,9 +9,8 @@ import (
 
 // This file is the engine's fast SHA-512 path. The hot hash primitives
 // (per-store MACs and BMT node hashes) run on the standard library's
-// crypto/sha512 — assembly-backed on amd64/arm64 — while the hand-rolled
-// SHA512 in sha512.go stays as the cross-checked reference, mirroring
-// the AES T-table + matrix-reference split introduced for the cipher.
+// crypto/sha512 — assembly-backed on amd64/arm64 — restored from cached
+// key-block midstates.
 //
 // Both primitives are keyed-midstate constructions:
 //
@@ -31,7 +30,7 @@ import (
 // incremental hashing plus state capture/restore for keyed midstates.
 // crypto/sha512 has implemented the three encoding interfaces since
 // Go 1.4 (marshal/unmarshal) and Go 1.24 (append); the constructor
-// still self-checks and falls back to the reference path if the
+// still self-checks and falls back to the one-shot reference if the
 // assertion or the state layout ever changes.
 type stdState interface {
 	hash.Hash
@@ -57,7 +56,7 @@ const maxOneBlockTail = BlockBytes - 17
 // newStdState returns a fresh stdlib SHA-512 digest with state capture,
 // or ok=false if the stdlib type ever stops satisfying stdState.
 func newStdState() (stdState, bool) {
-	d, ok := stdsha.New().(stdState)
+	d, ok := sha512.New().(stdState)
 	return d, ok
 }
 
@@ -80,7 +79,6 @@ type fastHasher struct {
 	d     stdState
 	final [BlockBytes]byte
 	state [stateLen]byte
-	sum   [Size512]byte
 }
 
 func newFastHasher() (*fastHasher, bool) {
@@ -108,20 +106,15 @@ func midstate(block *[BlockBytes]byte) (mid []byte, ok bool) {
 		return nil, false
 	}
 	// Self-check: one digest through the midstate fast path must match
-	// the hand-rolled reference on a representative suffix. This guards
-	// the marshaled-state layout assumption at construction time, so
-	// the per-call path can trust it unconditionally.
+	// a one-shot SHA-512 of (key block || probe). This guards the
+	// marshaled-state layout assumption at construction time, so the
+	// per-call path can trust it unconditionally.
 	probe := [48]byte{0: 1, 21: 0xA5, 47: 0xFF}
 	var got [Size512]byte
 	if !f.oneBlock(mid, probe[:], &got) {
 		return nil, false
 	}
-	ref := NewSHA512()
-	ref.Write(block[:])
-	ref.Write(probe[:])
-	var want [Size512]byte
-	ref.SumInto(&want)
-	if got != want {
+	if got != sha512.Sum512(append(block[:], probe[:]...)) {
 		return nil, false
 	}
 	return mid, true
@@ -149,18 +142,5 @@ func (f *fastHasher) oneBlock(mid []byte, tail []byte, out *[Size512]byte) bool 
 		return false
 	}
 	copy(out[:], st[stateMagicLen:stateMagicLen+Size512])
-	return true
-}
-
-// long hashes (key block || tail) for tails too long for a single final
-// block, streaming through the stdlib digest. Sum finalizes into the
-// scratch sum buffer, not the caller's array: handing out[:0] to the
-// hash.Hash interface would make the caller's stack variable escape.
-func (f *fastHasher) long(mid []byte, tail []byte, out *[Size512]byte) bool {
-	if err := f.d.UnmarshalBinary(mid); err != nil {
-		return false
-	}
-	f.d.Write(tail)
-	copy(out[:], f.d.Sum(f.sum[:0]))
 	return true
 }

@@ -30,10 +30,11 @@ go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Differential fuzzers on their seed corpora: the memoized BMT verify
-# must answer as a cold one does, the fast SHA-512 and AES-NI OTP paths
-# must agree with their hand-rolled references, the paged table and the
-# persist buffer must agree with their map models, and every seeded
-# corruption must be flagged, on every gate run.
+# must answer as a cold one does, the midstate MAC/node-hash and
+# shared-scratch OTP paths must agree with their one-shot composition
+# references, the paged table and the persist buffer must agree with
+# their map models, and every seeded corruption must be flagged, on
+# every gate run.
 go test -run Fuzz ./internal/bmt/... ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/...
 

@@ -3,7 +3,7 @@
 #   1. engine/crypto micro-benchmarks (ns/op), including the hash layer
 #      (fast-path vs reference MAC/HashNode, per-walk vs batched BMT),
 #   2. data-plane micro-benchmarks (paged table vs map, batched vs scalar
-#      replay, AES-NI vs T-table pad generation, memoized sweep),
+#      replay, memoized sweep),
 #   3. serial vs parallel table4 sweep wall-clock, with an output
 #      byte-identity check across parallelism levels,
 #   4. memoized vs unmemoized -exp all wall-clock, with a byte-identity
@@ -39,7 +39,7 @@ go test -bench 'BenchmarkMAC$|BenchmarkMACReference$|BenchmarkHashNode$|Benchmar
     -benchmem -benchtime 2s -run '^$' . | tee "$out/bench_hash.txt"
 
 echo "== data-plane micro-benchmarks =="
-go test -bench 'BenchmarkOTPGenReference$|BenchmarkPTableVsMap|BenchmarkRunBatchVsRun' \
+go test -bench 'BenchmarkPTableVsMap|BenchmarkRunBatchVsRun' \
     -benchmem -benchtime 2s -run '^$' . | tee "$out/bench_dataplane.txt"
 go test -bench 'BenchmarkExpAllMemoized' -benchtime 1x -run '^$' . \
     | tee "$out/bench_memo.txt"
