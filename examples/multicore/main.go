@@ -65,8 +65,7 @@ func main() {
 	// ascending core over private SecPBs, then ascending core over the
 	// shared-region SecPBs.
 	restore := func(mc *nvm.Controller) *nvm.Controller {
-		r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(),
-			mc.Counters().Snapshot(), mc.MACs().Snapshot(), mc.Tree().Snapshot())
+		r, err := nvm.Restore(mc.Snapshot(), key)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,8 @@
 // path, metadata path and recovery.
 package addr
 
+import "slices"
+
 // Layout constants shared across the simulator.
 const (
 	// BlockBytes is the cache line / SecPB entry data size.
@@ -70,3 +72,15 @@ func Aligned(byteAddr uint64) bool { return byteAddr&(BlockBytes-1) == 0 }
 
 // FromIndex returns the block with the given index.
 func FromIndex(idx uint64) Block { return Block(idx << BlockShift) }
+
+// SortedBlocks returns the keys of a block-keyed map in ascending
+// address order, so a walk over the map (and the first failure it
+// reports) is deterministic.
+func SortedBlocks[V any](m map[Block]V) []Block {
+	out := make([]Block, 0, len(m))
+	for b := range m {
+		out = append(out, b)
+	}
+	slices.Sort(out)
+	return out
+}

@@ -69,3 +69,20 @@ func TestAligned(t *testing.T) {
 		t.Error("unaligned addresses reported aligned")
 	}
 }
+
+func TestSortedBlocks(t *testing.T) {
+	m := map[Block]int{FromIndex(9): 0, FromIndex(2): 0, FromIndex(40): 0, FromIndex(0): 0}
+	got := SortedBlocks(m)
+	want := []Block{FromIndex(0), FromIndex(2), FromIndex(9), FromIndex(40)}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	if len(SortedBlocks(map[Block]bool{})) != 0 {
+		t.Error("empty map gave blocks")
+	}
+}

@@ -59,12 +59,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CellResult is the crash-matrix outcome for one scheme × workload cell.
-type CellResult struct {
-	Scheme      string            `json:"scheme"`
-	Workload    string            `json:"workload"`
-	Ops         int               `json:"ops"`
-	Seed        uint64            `json:"seed"`
+// Outcome is what one injection run found: the crash points it fired
+// and injected and, under the standard handler, the totals of the
+// four-way verification. Custom handlers keep their own findings, so
+// for them only the point counts are meaningful.
+type Outcome struct {
 	TotalPoints uint64            `json:"total_points"`
 	ByKind      map[string]uint64 `json:"points_by_kind"`
 	Injected    int               `json:"injected"`
@@ -72,6 +71,29 @@ type CellResult struct {
 	Checked     int               `json:"blocks_checked"`
 	Failures    int               `json:"failures"`
 	FirstBad    string            `json:"first_bad,omitempty"`
+}
+
+// tally folds one standard verification into the outcome; at names the
+// crash point in the first failure.
+func (o *Outcome) tally(res VerifyResult, at fmt.Stringer) {
+	o.Drained += res.EntriesDrained
+	o.Checked += res.BlocksChecked
+	if res.Failures == 0 {
+		return
+	}
+	o.Failures += res.Failures
+	if o.FirstBad == "" {
+		o.FirstBad = fmt.Sprintf("%s: %s", at, res.FirstBad)
+	}
+}
+
+// CellResult is the crash-matrix outcome for one scheme × workload cell.
+type CellResult struct {
+	Scheme   string `json:"scheme"`
+	Workload string `json:"workload"`
+	Ops      int    `json:"ops"`
+	Seed     uint64 `json:"seed"`
+	Outcome
 }
 
 // Matrix is the full crash-matrix artifact.
@@ -115,22 +137,6 @@ func (m *Matrix) Render(w io.Writer) error {
 			c.Scheme, c.Workload, c.TotalPoints, c.Injected, c.Drained, c.Checked, c.Failures, status)
 	}
 	return tw.Flush()
-}
-
-// cellSeed derives a per-cell seed so every cell samples an independent
-// but reproducible trigger set and trace.
-func cellSeed(base uint64, scheme config.Scheme, wl string) uint64 {
-	h := base ^ 0x9E3779B97F4A7C15
-	for _, s := range []string{scheme.String(), "/", wl} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }
 
 // chooseTriggers picks k distinct point ordinals out of total using
@@ -181,72 +187,32 @@ type TraceOptions struct {
 // InjectTrace crash-tests one prepared op slice (synthetic, recorded, or
 // reordered-for-relaxed-consistency) under cfg: a first pass counts the
 // run's crash points, a trigger set is drawn, and a second identical run
-// (the simulator is deterministic) crashes, recovers and verifies at
-// each trigger with the standard four-way RecoverVerify.
-func InjectTrace(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions) (CellResult, error) {
-	return InjectTraceWith(cfg, prof, key, ops, topt, nil)
-}
-
-// InjectTraceWith is InjectTrace with a custom recovery handler: the
-// injection machinery (point counting, trigger sampling, snapshot
-// capture, golden shadow) is identical, but each triggered crash is
-// handed to h instead of the standard RecoverVerify — the hook for
-// degraded-recovery scenarios such as nested battery-exhaustion crashes.
-// A nil h uses the standard handler. The cell's Injected count is
-// maintained for every handler; Drained/Checked/Failures are only
-// meaningful under the standard one (custom handlers accumulate their
-// own findings).
-func InjectTraceWith(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions, h Handler) (CellResult, error) {
+// (the simulator is deterministic) crashes at each trigger and hands the
+// snapshot to h. A nil h is the standard four-way RecoverVerify, whose
+// totals land in the cell; a custom handler — the hook for
+// degraded-recovery scenarios such as nested battery-exhaustion crashes
+// — keeps its own findings, and the cell then carries only the point
+// counts.
+func InjectTrace(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions, h Handler) (CellResult, error) {
 	cell := CellResult{Scheme: cfg.Scheme.String(), Workload: prof.Name, Ops: len(ops), Seed: cfg.Seed}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, perKind := count.Points()
-	cell.TotalPoints = total
-	cell.ByKind = make(map[string]uint64, crashpoint.NumKinds())
-	for _, k := range crashpoint.Kinds() {
-		if n := perKind[k]; n > 0 {
-			cell.ByKind[k.String()] = n
+	if h == nil {
+		h = func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+			res, err := snap.RecoverVerify(golden)
+			if err != nil {
+				return err
+			}
+			cell.tally(res, snap)
+			return nil
 		}
 	}
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s fired no crash points", cfg.Scheme, prof.Name)
-	}
-
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
-		cell.Injected++
-		if h != nil {
-			return h(snap, golden)
-		}
-		res, err := snap.RecoverVerify(golden)
+	err := inject(&cell.Outcome, fmt.Sprintf("%s/%s", cfg.Scheme, prof.Name), topt, func(p *points) error {
+		in, err := newInjector(cfg, prof, key, ops, p, h)
 		if err != nil {
 			return err
 		}
-		cell.Drained += res.EntriesDrained
-		cell.Checked += res.BlocksChecked
-		if res.Failures > 0 {
-			cell.Failures += res.Failures
-			if cell.FirstBad == "" {
-				cell.FirstBad = fmt.Sprintf("%s point %d (op %d, %d committed): %s",
-					snap.Kind, snap.PointIndex, snap.OpIndex, snap.Committed, res.FirstBad)
-			}
-		}
-		return nil
+		return in.Run()
 	})
-	if err != nil {
-		return cell, err
-	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
-	}
-	return cell, nil
+	return cell, err
 }
 
 // RunCell explores one scheme × workload cell of the matrix grid with a
@@ -258,13 +224,13 @@ func RunCell(scheme config.Scheme, wl string, opts Options) (CellResult, error) 
 	if err != nil {
 		return cell, err
 	}
-	seed := cellSeed(opts.Seed, scheme, wl)
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl)
 	cfg := cellConfig(opts, scheme, seed)
 	ops, err := workload.Generate(prof, seed, opts.Ops)
 	if err != nil {
 		return cell, err
 	}
-	cell, err = InjectTrace(cfg, prof, opts.Key, ops, TraceOptions{Points: opts.Points, Seed: seed ^ 0xC0FFEE})
+	cell, err = InjectTrace(cfg, prof, opts.Key, ops, TraceOptions{Points: opts.Points, Seed: seed ^ 0xC0FFEE}, nil)
 	cell.Workload = wl
 	return cell, err
 }

@@ -8,6 +8,7 @@ import (
 
 	"secpb/internal/addr"
 	"secpb/internal/config"
+	"secpb/internal/trace"
 	"secpb/internal/workload"
 )
 
@@ -120,17 +121,17 @@ func TestInjectionIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(cfg, prof, key, ops, newPoints(nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := count.Run(); err != nil {
 		t.Fatal(err)
 	}
-	total, _ := count.Points()
+	total := count.total
 	triggers := chooseTriggers(total, 30, 5)
 
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(cfg, prof, key, ops, newPoints(nil, triggers), func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		_, err := snap.RecoverVerify(golden)
 		return err
 	})
@@ -141,12 +142,12 @@ func TestInjectionIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := newInjector(cfg, prof, key, ops, nil, nil)
+	plain, err := newInjector(cfg, prof, key, ops, newPoints(nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run without any sink installed at all: the reference execution.
-	if err := plain.eng.Run(&indexedSource{ops: ops, pos: -1}); err != nil {
+	if err := plain.eng.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,18 +173,18 @@ func TestDetectsDroppedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(cfg, prof, key, ops, newPoints(nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := count.Run(); err != nil {
 		t.Fatal(err)
 	}
-	total, _ := count.Points()
+	total := count.total
 	triggers := chooseTriggers(total, 20, 11)
 
 	caught, eligible := 0, 0
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(cfg, prof, key, ops, newPoints(nil, triggers), func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		if len(snap.entries) == 0 {
 			return nil
 		}
@@ -226,19 +227,19 @@ func TestDetectsWrongGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(cfg, prof, key, ops, newPoints(nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := count.Run(); err != nil {
 		t.Fatal(err)
 	}
-	total, _ := count.Points()
+	total := count.total
 	// Pick one late crash point so plenty of blocks are committed.
 	triggers := []uint64{total - 1}
 
 	ran := false
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(cfg, prof, key, ops, newPoints(nil, triggers), func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		ran = true
 		forged := make(map[addr.Block][addr.BlockBytes]byte, len(golden))
 		for b, v := range golden {
@@ -292,7 +293,7 @@ func TestNestedBudgetCrashResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		nested, skipped := 0, 0
-		cell, err := InjectTraceWith(cfg, prof, key, ops, TraceOptions{Points: 25, Seed: 0xBA77 ^ 0xC0FFEE},
+		cell, err := InjectTrace(cfg, prof, key, ops, TraceOptions{Points: 25, Seed: 0xBA77 ^ 0xC0FFEE},
 			func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 				if snap.NumEntries() < 2 {
 					skipped++ // budget covers everything; no nested crash possible
@@ -340,7 +341,7 @@ func TestNestedCrashDroppedJournalDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	exhausted, caught := 0, 0
-	_, err = InjectTraceWith(cfg, prof, key, ops, TraceOptions{Points: 25, Seed: 0xD10 ^ 0xC0FFEE},
+	_, err = InjectTrace(cfg, prof, key, ops, TraceOptions{Points: 25, Seed: 0xD10 ^ 0xC0FFEE},
 		func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 			if snap.NumEntries() < 2 {
 				return nil

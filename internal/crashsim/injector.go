@@ -4,16 +4,96 @@ import (
 	"fmt"
 
 	"secpb/internal/addr"
-	"secpb/internal/bmt"
 	"secpb/internal/config"
 	"secpb/internal/core"
 	"secpb/internal/crashpoint"
 	"secpb/internal/engine"
-	"secpb/internal/meta"
 	"secpb/internal/nvm"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
 )
+
+// points is the crash-point stream both injectors share. It filters
+// firings by kind, counts them (in total and per kind), matches their
+// ordinals against the sorted trigger list, and keeps the first handler
+// error, after which no further trigger matches.
+type points struct {
+	mask     []bool   // per-kind enable; nil enables every kind
+	triggers []uint64 // sorted ascending, distinct
+	cursor   int      // triggers matched so far
+	total    uint64
+	perKind  []uint64 // indexed by crashpoint.Kind
+	err      error
+}
+
+// newPoints returns a stream restricted to kinds (empty = all) that
+// triggers at the given ordinals.
+func newPoints(kinds []crashpoint.Kind, triggers []uint64) *points {
+	p := &points{triggers: triggers, perKind: make([]uint64, crashpoint.NumKinds())}
+	if len(kinds) > 0 {
+		p.mask = make([]bool, crashpoint.NumKinds())
+		for _, k := range kinds {
+			p.mask[k] = true
+		}
+	}
+	return p
+}
+
+// fire counts one firing of kind k and reports whether it is the next
+// trigger, with its ordinal. Firings of masked-out kinds are invisible:
+// not counted, never triggered.
+func (p *points) fire(k crashpoint.Kind) (uint64, bool) {
+	if p.mask != nil && !p.mask[k] {
+		return 0, false
+	}
+	i := p.total
+	p.total++
+	p.perKind[k]++
+	if p.err != nil || p.cursor >= len(p.triggers) || p.triggers[p.cursor] != i {
+		return 0, false
+	}
+	p.cursor++
+	return i, true
+}
+
+// finish closes a run: the first handler error, else an error if any
+// trigger never matched (the point stream was not reproducible).
+func (p *points) finish() error {
+	if p.err != nil {
+		return p.err
+	}
+	if p.cursor != len(p.triggers) {
+		return fmt.Errorf("crashsim: run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
+			p.total, len(p.triggers)-p.cursor, len(p.triggers))
+	}
+	return nil
+}
+
+// inject is the one count→sample→inject driver behind both machine
+// shapes. run builds a fresh machine over the given stream and runs its
+// trace to completion; the simulator is deterministic, so the counting
+// pass and the trigger pass fire the identical stream. inject fills the
+// outcome's point counts; the handler run installs fills the rest.
+func inject(out *Outcome, what string, topt TraceOptions, run func(*points) error) error {
+	count := newPoints(topt.Kinds, nil)
+	if err := run(count); err != nil {
+		return err
+	}
+	out.TotalPoints = count.total
+	out.ByKind = make(map[string]uint64, crashpoint.NumKinds())
+	for _, k := range crashpoint.Kinds() {
+		if n := count.perKind[k]; n > 0 {
+			out.ByKind[k.String()] = n
+		}
+	}
+	if count.total == 0 {
+		return fmt.Errorf("crashsim: %s fired no crash points", what)
+	}
+	trig := newPoints(topt.Kinds, chooseTriggers(count.total, topt.Points, topt.Seed))
+	err := run(trig)
+	out.Injected = trig.cursor
+	return err
+}
 
 // Snapshot is everything that survives a power failure at one crash
 // point: the persisted NV image (PM blocks, counter store, MAC store,
@@ -21,133 +101,75 @@ import (
 // entries including an interrupted in-flight drain, which models the
 // memory-controller latches the battery also sustains). Volatile state —
 // metadata caches, clocks, the core's program view — is deliberately
-// absent. A Snapshot is single-use: RecoverVerify mutates the captured
-// image while draining.
+// absent. A Snapshot is single-use: recovery drains into the captured
+// image.
 type Snapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64 // ordinal among all points fired this run
-	OpIndex    int    // trace op being executed when the point fired
-	Cycle      uint64 // engine clock at capture
 	Committed  int    // stores past the point of persistency
-	InFlight   bool   // a drain was interrupted mid-tuple
 
-	cfg     config.Config
 	key     []byte
-	pm      *nvm.PM
-	ctrs    *meta.CounterStore
-	macs    *meta.MACStore
-	tree    *bmt.Tree
+	img     nvm.Image
 	entries []core.Entry
 }
-
-// Handler receives each captured snapshot together with the golden
-// plaintext image for its committed prefix. The golden map is live
-// shadow state: consume it synchronously, do not retain it. Custom
-// handlers (InjectTraceWith) choose their own recovery procedure —
-// e.g. RecoverVerifyResumable for nested-crash scenarios — and report
-// findings through state they close over; a returned error aborts the
-// run (harness failure, not a finding).
-type Handler func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error
 
 // NumEntries returns how many battery-backed entries the snapshot holds
 // (the late work a recovery must fund).
 func (s *Snapshot) NumEntries() int { return len(s.entries) }
 
-// indexedSource feeds a fixed op slice to the engine while remembering
-// which op is in flight, so snapshots can report their trace position.
-type indexedSource struct {
-	ops []trace.Op
-	pos int // index of the op most recently handed out
+// String names the crash point: its kind, ordinal and committed count.
+func (s *Snapshot) String() string {
+	return fmt.Sprintf("%s point %d (%d committed)", s.Kind, s.PointIndex, s.Committed)
 }
 
-func (s *indexedSource) Next() (trace.Op, bool) {
-	if s.pos+1 >= len(s.ops) {
-		if s.pos+1 == len(s.ops) {
-			s.pos++
-		}
-		return trace.Op{}, false
-	}
-	s.pos++
-	return s.ops[s.pos], true
-}
+// Handler receives each captured snapshot together with the golden
+// plaintext image for its committed prefix. The golden map is live
+// shadow state: consume it synchronously, do not retain it. Custom
+// handlers choose their own recovery procedure — e.g.
+// RecoverVerifyResumable for nested-crash scenarios — and report
+// findings through state they close over; a returned error aborts the
+// run (harness failure, not a finding).
+type Handler func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error
 
 // Injector drives one simulated run and crashes it at chosen points. It
-// implements crashpoint.Sink: every hook firing is counted, and firings
-// whose ordinal matches the sorted trigger list are captured, recovered
-// and verified in place. Capturing in place (rather than halting and
-// replaying) is equivalent to a real crash — recovery operates on deep
-// clones of exactly the state a power failure would leave — and lets one
-// pass service thousands of crash points with O(1) snapshots alive.
+// implements crashpoint.Sink: every hook firing passes through the
+// point stream, and firings that match a trigger are captured,
+// recovered and verified in place. Capturing in place (rather than
+// halting and replaying) is equivalent to a real crash — recovery
+// operates on deep clones of exactly the state a power failure would
+// leave — and lets one pass service thousands of crash points with O(1)
+// snapshots alive.
 type Injector struct {
-	eng      *engine.Engine
-	cfg      config.Config
-	key      []byte
-	src      *indexedSource
-	shadow   *shadow
-	triggers []uint64 // sorted ascending, distinct
-	cursor   int
-	handle   Handler
-	mask     []bool // per-kind enable; points of masked-out kinds are not counted
-
-	points  uint64
-	perKind []uint64 // indexed by crashpoint.Kind
-	err     error
+	*points
+	eng    *engine.Engine
+	ops    []trace.Op
+	key    []byte
+	shadow *shadow
+	handle Handler
 }
 
-func newInjector(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, triggers []uint64, h Handler) (*Injector, error) {
+func newInjector(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, p *points, h Handler) (*Injector, error) {
 	eng, err := engine.New(cfg, prof, key)
 	if err != nil {
 		return nil, err
 	}
-	mask := make([]bool, crashpoint.NumKinds())
-	for i := range mask {
-		mask[i] = true
-	}
 	return &Injector{
-		eng:      eng,
-		cfg:      cfg,
-		key:      append([]byte(nil), key...),
-		src:      &indexedSource{ops: ops, pos: -1},
-		shadow:   newShadow(ops),
-		triggers: triggers,
-		handle:   h,
-		mask:     mask,
-		perKind:  make([]uint64, crashpoint.NumKinds()),
+		points: p,
+		eng:    eng,
+		ops:    ops,
+		key:    append([]byte(nil), key...),
+		shadow: newShadow(ops),
+		handle: h,
 	}, nil
-}
-
-// setKinds restricts the injector to the given crash-point kinds; other
-// firings are invisible (not counted, never triggered). Empty = all.
-func (in *Injector) setKinds(kinds []crashpoint.Kind) {
-	if len(kinds) == 0 {
-		return
-	}
-	for i := range in.mask {
-		in.mask[i] = false
-	}
-	for _, k := range kinds {
-		in.mask[k] = true
-	}
 }
 
 // CrashPoint implements crashpoint.Sink.
 func (in *Injector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
-	if !in.mask[k] {
+	i, ok := in.fire(k)
+	if !ok || in.handle == nil {
 		return
 	}
-	i := in.points
-	in.points++
-	in.perKind[k]++
-	if in.err != nil || in.cursor >= len(in.triggers) || in.triggers[in.cursor] != i {
-		return
-	}
-	in.cursor++
-	snap := in.capture(k, i)
-	if in.handle != nil {
-		if err := in.handle(snap, in.shadow.view()); err != nil {
-			in.err = err // first harness error wins; later triggers are skipped
-		}
-	}
+	in.err = in.handle(in.capture(k, i), in.shadow.view())
 }
 
 // capture freezes the crash-surviving state at the instant the hook
@@ -158,49 +180,29 @@ func (in *Injector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
 // watermark drain, sweep) the point interrupts.
 func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	spb := in.eng.SecPB()
-	mc := in.eng.Controller()
 	stores, _ := spb.Stats()
 	committed := int(stores)
 	in.shadow.advanceTo(committed)
 	return &Snapshot{
 		Kind:       k,
 		PointIndex: i,
-		OpIndex:    in.src.pos,
-		Cycle:      in.eng.Now(),
 		Committed:  committed,
-		InFlight:   spb.InFlightDrain() != nil,
-		cfg:        in.cfg,
 		key:        in.key,
-		pm:         mc.PM().Snapshot(),
-		ctrs:       mc.Counters().Snapshot(),
-		macs:       mc.MACs().Snapshot(),
-		tree:       mc.Tree().Snapshot(),
+		img:        in.eng.Controller().Snapshot(),
 		entries:    spb.SnapshotEntries(),
 	}
 }
 
-// Run executes the trace to completion, firing the sink at every
-// instrumented point. It returns the first harness error (engine
+// Run executes the trace to completion on the batched loop that
+// produces the published numbers (engine.RunBatch), firing the sink at
+// every instrumented point. It returns the first harness error (engine
 // failure, recovery machinery breakage) — differential verification
 // failures are the handler's to accumulate, not errors here.
 func (in *Injector) Run() error {
 	in.eng.SetCrashSink(in)
 	defer in.eng.SetCrashSink(nil)
-	if err := in.eng.Run(in.src); err != nil {
+	if err := in.eng.RunBatch(trace.NewSliceBatchSource(in.ops)); err != nil {
 		return fmt.Errorf("crashsim: engine run: %w", err)
 	}
-	if in.err != nil {
-		return in.err
-	}
-	if in.cursor != len(in.triggers) {
-		return fmt.Errorf("crashsim: run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
-			in.points, len(in.triggers)-in.cursor, len(in.triggers))
-	}
-	return nil
-}
-
-// Points returns the total number of crash points the run fired and the
-// per-kind breakdown (indexed by crashpoint.Kind).
-func (in *Injector) Points() (total uint64, perKind []uint64) {
-	return in.points, in.perKind
+	return in.finish()
 }

@@ -5,39 +5,16 @@ import (
 	"sort"
 
 	"secpb/internal/addr"
-	"secpb/internal/bmt"
 	"secpb/internal/config"
 	"secpb/internal/core"
 	"secpb/internal/crashpoint"
 	"secpb/internal/engine"
-	"secpb/internal/meta"
 	"secpb/internal/nvm"
 	"secpb/internal/recovery"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
-
-// shardState is one memory-channel shard's crash image: the persisted
-// NV stores plus the battery-backed SecPB entries that drain into it.
-type shardState struct {
-	cfg     config.Config
-	pm      *nvm.PM
-	ctrs    *meta.CounterStore
-	macs    *meta.MACStore
-	tree    *bmt.Tree
-	entries []core.Entry
-}
-
-func captureShard(cfg config.Config, mc *nvm.Controller, entries []core.Entry) shardState {
-	return shardState{
-		cfg:     cfg,
-		pm:      mc.PM().Snapshot(),
-		ctrs:    mc.Counters().Snapshot(),
-		macs:    mc.MACs().Snapshot(),
-		tree:    mc.Tree().Snapshot(),
-		entries: entries,
-	}
-}
 
 // SystemSnapshot is everything that survives a power failure of an
 // N-core socket: each core's private memory-channel shard with its
@@ -55,22 +32,25 @@ type SystemSnapshot struct {
 	SharedCommitted []int
 
 	key           []byte
-	priv          []shardState
-	shared        shardState
+	priv          []nvm.Image    // per core's memory-channel shard
+	privEntries   [][]core.Entry // per core, FIFO order
+	shared        nvm.Image
 	sharedEntries [][]core.Entry // per core, FIFO order
 }
 
 // NumEntries returns the total battery-backed entries across all
 // buffers — the late work a whole-socket recovery must fund.
 func (s *SystemSnapshot) NumEntries() int {
-	n := len(s.shared.entries)
-	for _, p := range s.priv {
-		n += len(p.entries)
-	}
-	for _, e := range s.sharedEntries {
-		n += len(e)
+	n := 0
+	for c := range s.privEntries {
+		n += len(s.privEntries[c]) + len(s.sharedEntries[c])
 	}
 	return n
+}
+
+// String names the crash point: its kind and ordinal.
+func (s *SystemSnapshot) String() string {
+	return fmt.Sprintf("%s point %d", s.Kind, s.PointIndex)
 }
 
 // parts assembles the canonical cross-core drain order over freshly
@@ -81,15 +61,15 @@ func (s *SystemSnapshot) NumEntries() int {
 func (s *SystemSnapshot) parts() ([]recovery.CoreEntries, []*nvm.Controller, *nvm.Controller, error) {
 	var parts []recovery.CoreEntries
 	var privMCs []*nvm.Controller
-	for c, sh := range s.priv {
-		mc, err := nvm.Restore(sh.cfg, s.key, sh.pm, sh.ctrs, sh.macs, sh.tree)
+	for c, img := range s.priv {
+		mc, err := nvm.Restore(img, s.key)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("crashsim: restore core %d shard: %w", c, err)
 		}
 		privMCs = append(privMCs, mc)
-		parts = append(parts, recovery.CoreEntries{Core: c, MC: mc, Entries: sh.entries})
+		parts = append(parts, recovery.CoreEntries{Core: c, MC: mc, Entries: s.privEntries[c]})
 	}
-	sharedMC, err := nvm.Restore(s.shared.cfg, s.key, s.shared.pm, s.shared.ctrs, s.shared.macs, s.shared.tree)
+	sharedMC, err := nvm.Restore(s.shared, s.key)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("crashsim: restore shared shard: %w", err)
 	}
@@ -292,73 +272,38 @@ type SystemHandler func(snap *SystemSnapshot, golden *SystemGolden) error
 // point stream is deterministic: core 0's epoch, core 1's, ..., then
 // the barrier replay in canonical order.
 type systemInjector struct {
-	sys      *engine.System
-	key      []byte
-	shadow   *systemShadow
-	triggers []uint64
-	cursor   int
-	handle   SystemHandler
-	mask     []bool
-
-	points  uint64
-	perKind []uint64
-	err     error
+	*points
+	sys    *engine.System
+	key    []byte
+	shadow *systemShadow
+	handle SystemHandler
 }
 
-func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, triggers []uint64, h SystemHandler) (*systemInjector, error) {
+func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, p *points, h SystemHandler) (*systemInjector, error) {
 	srcs := make([]trace.Source, len(perCore))
 	for c, ops := range perCore {
-		srcs[c] = &indexedSource{ops: ops, pos: -1}
+		srcs[c] = trace.NewSliceSource(ops)
 	}
 	sys, err := engine.NewSystemSources(cfg, prof, key, srcs)
 	if err != nil {
 		return nil, err
 	}
-	mask := make([]bool, crashpoint.NumKinds())
-	for i := range mask {
-		mask[i] = true
-	}
 	return &systemInjector{
-		sys:      sys,
-		key:      append([]byte(nil), key...),
-		shadow:   newSystemShadow(sys.Plan(), perCore),
-		triggers: triggers,
-		handle:   h,
-		mask:     mask,
-		perKind:  make([]uint64, crashpoint.NumKinds()),
+		points: p,
+		sys:    sys,
+		key:    append([]byte(nil), key...),
+		shadow: newSystemShadow(sys.Plan(), perCore),
+		handle: h,
 	}, nil
-}
-
-func (in *systemInjector) setKinds(kinds []crashpoint.Kind) {
-	if len(kinds) == 0 {
-		return
-	}
-	for i := range in.mask {
-		in.mask[i] = false
-	}
-	for _, k := range kinds {
-		in.mask[k] = true
-	}
 }
 
 // CrashPoint implements crashpoint.Sink.
 func (in *systemInjector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
-	if !in.mask[k] {
+	i, ok := in.fire(k)
+	if !ok || in.handle == nil {
 		return
 	}
-	i := in.points
-	in.points++
-	in.perKind[k]++
-	if in.err != nil || in.cursor >= len(in.triggers) || in.triggers[in.cursor] != i {
-		return
-	}
-	in.cursor++
-	snap, golden := in.capture(k, i)
-	if in.handle != nil {
-		if err := in.handle(snap, golden); err != nil {
-			in.err = err
-		}
-	}
+	in.err = in.handle(in.capture(k, i))
 }
 
 // capture freezes the whole socket: every shard's NV image, every
@@ -372,16 +317,16 @@ func (in *systemInjector) capture(k crashpoint.Kind, i uint64) (*SystemSnapshot,
 		spb := eng.SecPB()
 		stores, _ := spb.Stats()
 		snap.Committed = append(snap.Committed, int(stores))
-		snap.priv = append(snap.priv, captureShard(eng.Controller().Config(), eng.Controller(), spb.SnapshotEntries()))
+		snap.privEntries = append(snap.privEntries, spb.SnapshotEntries())
+		snap.priv = append(snap.priv, eng.Controller().Snapshot())
 	}
-	sharedMC := in.sys.Shared().Controller()
 	for c := 0; c < n; c++ {
 		spb := in.sys.Shared().SecPB(c)
 		stores, _ := spb.Stats()
 		snap.SharedCommitted = append(snap.SharedCommitted, int(stores))
 		snap.sharedEntries = append(snap.sharedEntries, spb.SnapshotEntries())
 	}
-	snap.shared = captureShard(sharedMC.Config(), sharedMC, nil)
+	snap.shared = in.sys.Shared().Controller().Snapshot()
 
 	in.shadow.advance(snap.Committed, snap.SharedCommitted)
 	golden := &SystemGolden{
@@ -402,132 +347,52 @@ func (in *systemInjector) Run() error {
 	if err := in.sys.Run(); err != nil {
 		return fmt.Errorf("crashsim: system run: %w", err)
 	}
-	if in.err != nil {
-		return in.err
-	}
-	if in.cursor != len(in.triggers) {
-		return fmt.Errorf("crashsim: system run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
-			in.points, len(in.triggers)-in.cursor, len(in.triggers))
-	}
-	return nil
+	return in.finish()
 }
-
-func (in *systemInjector) Points() (uint64, []uint64) { return in.points, in.perKind }
 
 // SystemCellResult is the crash-matrix outcome for one multi-core cell.
 type SystemCellResult struct {
-	Scheme      string            `json:"scheme"`
-	Workload    string            `json:"workload"`
-	Cores       int               `json:"cores"`
-	OpsPerCore  int               `json:"ops_per_core"`
-	Seed        uint64            `json:"seed"`
-	TotalPoints uint64            `json:"total_points"`
-	ByKind      map[string]uint64 `json:"points_by_kind"`
-	Injected    int               `json:"injected"`
-	Drained     int               `json:"entries_drained"`
-	Checked     int               `json:"blocks_checked"`
-	Failures    int               `json:"failures"`
-	FirstBad    string            `json:"first_bad,omitempty"`
+	Scheme     string `json:"scheme"`
+	Workload   string `json:"workload"`
+	Cores      int    `json:"cores"`
+	OpsPerCore int    `json:"ops_per_core"`
+	Seed       uint64 `json:"seed"`
+	Outcome
 }
 
 // InjectSystemTrace crash-tests a multi-core socket over prepared
-// per-core op slices: a first pass counts the run's crash points across
-// every shard, a trigger set is drawn, and a second identical run
-// (serial stepping under the sink keeps the point stream deterministic)
-// crashes, recovers in the sealed canonical order, and verifies every
-// shard at each trigger.
-func InjectSystemTrace(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions) (SystemCellResult, error) {
-	cell := SystemCellResult{
-		Scheme: cfg.Scheme.String(), Workload: prof.Name,
-		Cores: cfg.EffectiveCores(), OpsPerCore: 0, Seed: cfg.Seed,
-	}
+// per-core op slices with the single-core driver: a first pass counts
+// the run's crash points across every shard, a trigger set is drawn,
+// and a second identical run (serial stepping under the sink keeps the
+// point stream deterministic) crashes at each trigger and hands the
+// snapshot to h. A nil h is the standard recovery in the sealed
+// canonical order with every shard verified; custom handlers (the
+// negative controls choose their own verification) keep their own
+// findings.
+func InjectSystemTrace(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions, h SystemHandler) (SystemCellResult, error) {
+	cell := SystemCellResult{Scheme: cfg.Scheme.String(), Workload: prof.Name, Cores: cfg.EffectiveCores(), Seed: cfg.Seed}
 	if len(perCore) > 0 {
 		cell.OpsPerCore = len(perCore[0])
 	}
-	count, err := newSystemInjector(cfg, prof, key, perCore, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, perKind := count.Points()
-	cell.TotalPoints = total
-	cell.ByKind = make(map[string]uint64, crashpoint.NumKinds())
-	for _, k := range crashpoint.Kinds() {
-		if n := perKind[k]; n > 0 {
-			cell.ByKind[k.String()] = n
+	if h == nil {
+		h = func(snap *SystemSnapshot, golden *SystemGolden) error {
+			res, err := snap.RecoverVerify(golden)
+			if err != nil {
+				return err
+			}
+			cell.tally(res, snap)
+			return nil
 		}
 	}
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s cores=%d fired no crash points", cfg.Scheme, prof.Name, cell.Cores)
-	}
-
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newSystemInjector(cfg, prof, key, perCore, triggers, func(snap *SystemSnapshot, golden *SystemGolden) error {
-		cell.Injected++
-		res, err := snap.RecoverVerify(golden)
+	what := fmt.Sprintf("%s/%s cores=%d", cfg.Scheme, prof.Name, cell.Cores)
+	err := inject(&cell.Outcome, what, topt, func(p *points) error {
+		in, err := newSystemInjector(cfg, prof, key, perCore, p, h)
 		if err != nil {
 			return err
 		}
-		cell.Drained += res.EntriesDrained
-		cell.Checked += res.BlocksChecked
-		if res.Failures > 0 {
-			cell.Failures += res.Failures
-			if cell.FirstBad == "" {
-				cell.FirstBad = fmt.Sprintf("%s point %d: %s", snap.Kind, snap.PointIndex, res.FirstBad)
-			}
-		}
-		return nil
+		return in.Run()
 	})
-	if err != nil {
-		return cell, err
-	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
-	}
-	return cell, nil
-}
-
-// InjectSystemTraceWith is InjectSystemTrace with a custom handler (the
-// negative controls choose their own verification); only Injected is
-// maintained for custom handlers.
-func InjectSystemTraceWith(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions, h SystemHandler) (SystemCellResult, error) {
-	cell := SystemCellResult{
-		Scheme: cfg.Scheme.String(), Workload: prof.Name,
-		Cores: cfg.EffectiveCores(), Seed: cfg.Seed,
-	}
-	if len(perCore) > 0 {
-		cell.OpsPerCore = len(perCore[0])
-	}
-	count, err := newSystemInjector(cfg, prof, key, perCore, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, _ := count.Points()
-	cell.TotalPoints = total
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s cores=%d fired no crash points", cfg.Scheme, prof.Name, cell.Cores)
-	}
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newSystemInjector(cfg, prof, key, perCore, triggers, func(snap *SystemSnapshot, golden *SystemGolden) error {
-		cell.Injected++
-		return h(snap, golden)
-	})
-	if err != nil {
-		return cell, err
-	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
-	}
-	return cell, nil
+	return cell, err
 }
 
 // SystemTrace materializes the per-core op slices a multi-core cell
@@ -554,11 +419,11 @@ func RunSystemCell(scheme config.Scheme, wl string, cores int, opts Options) (Sy
 	if err != nil {
 		return SystemCellResult{Scheme: scheme.String(), Workload: wl, Cores: cores}, err
 	}
-	seed := cellSeed(opts.Seed, scheme, wl) ^ uint64(cores)<<48
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl) ^ uint64(cores)<<48
 	cfg := cellConfig(opts, scheme, seed).WithCores(cores)
 	perCore, err := SystemTrace(cfg, prof, opts.Ops)
 	if err != nil {
 		return SystemCellResult{Scheme: scheme.String(), Workload: wl, Cores: cores}, err
 	}
-	return InjectSystemTrace(cfg, prof, opts.Key, perCore, TraceOptions{Points: opts.Points, Seed: seed ^ 0xC0FFEE})
+	return InjectSystemTrace(cfg, prof, opts.Key, perCore, TraceOptions{Points: opts.Points, Seed: seed ^ 0xC0FFEE}, nil)
 }

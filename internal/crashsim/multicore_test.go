@@ -63,7 +63,7 @@ func TestSystemNegativePermutedDrainOrder(t *testing.T) {
 	// Parts: 2 private + 2 shared = 4; swap the privates.
 	order := []int{1, 0, 2, 3}
 	checked := 0
-	cell, err := InjectSystemTraceWith(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore,
+	cell, err := InjectSystemTrace(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore,
 		TraceOptions{Points: 12, Seed: 7}, func(snap *SystemSnapshot, golden *SystemGolden) error {
 			if snap.NumEntries() == 0 {
 				return nil // nothing to drain: order is vacuous at this point
@@ -103,7 +103,7 @@ func TestSystemNegativePermutedMergeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	engaged, failed := 0, 0
-	_, err = InjectSystemTraceWith(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore,
+	_, err = InjectSystemTrace(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore,
 		TraceOptions{Points: 0, Seed: 9, Kinds: []crashpoint.Kind{crashpoint.StoreAccept}},
 		func(snap *SystemSnapshot, golden *SystemGolden) error {
 			permuted := golden.SharedPermutedMerge()
@@ -145,7 +145,7 @@ func TestSystemMatrixConflictHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := InjectSystemTrace(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore, TraceOptions{Points: 0, Seed: 11})
+	cell, err := InjectSystemTrace(cfg, prof, []byte("crashsim-fixed-verification-key!"), perCore, TraceOptions{Points: 0, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"secpb/internal/service"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
 
 // Service-level crash injection: the same differential discipline the
@@ -136,16 +137,6 @@ func (m *ServiceMatrix) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// fnv64a is the plain FNV-64a the service uses for state digests.
-func fnv64a(p []byte) uint64 {
-	h := uint64(14695981039346269159)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // serviceTrace prepares a cell's upload stream: the recorded ops, the
 // sealed per-segment frames, and the golden state digest after every
 // committed prefix (digest[p] = engine state after segments [0,p)).
@@ -191,7 +182,7 @@ func prepareServiceTrace(spec service.Spec, nops, segOps int) (*serviceTrace, er
 	if err != nil {
 		return nil, err
 	}
-	st.digests = append(st.digests, fnv64a(service.EncodeResult(eng.Collect())))
+	st.digests = append(st.digests, service.StateDigest(eng.Collect()))
 	for i, frame := range st.frames {
 		b, err := decodeFrame(frame)
 		if err != nil {
@@ -200,7 +191,7 @@ func prepareServiceTrace(spec service.Spec, nops, segOps int) (*serviceTrace, er
 		if err := eng.StepBatch(b); err != nil {
 			return nil, err
 		}
-		st.digests = append(st.digests, fnv64a(service.EncodeResult(eng.Collect())))
+		st.digests = append(st.digests, service.StateDigest(eng.Collect()))
 	}
 
 	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceSource(ops))
@@ -273,7 +264,7 @@ func finalizeWithRetry(s *service.Session) ([]byte, int, error) {
 func RunServiceCell(scheme config.Scheme, wl string, opts ServiceOptions) (ServiceCell, error) {
 	opts = opts.withDefaults()
 	cell := ServiceCell{Scheme: scheme.String(), Workload: wl, Ops: opts.Ops}
-	seed := cellSeed(opts.Seed, scheme, wl)
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl)
 	cell.Seed = seed
 	spec := service.Spec{Name: "cell", Scheme: scheme.String(), Bench: wl, Seed: seed}
 	st, err := prepareServiceTrace(spec, opts.Ops, opts.SegOps)

@@ -34,7 +34,7 @@ func (v *VerifyResult) fail(msg string) {
 
 // RecoverVerify restores a memory controller from the snapshot's NV
 // image, runs the scheme's post-crash late work over the battery-backed
-// entries, and then checks the recovered state four ways:
+// entries on wall power, and then checks the recovered state four ways:
 //
 //  1. the whole-image audit (per-block MAC, per-page BMT path, root
 //     reconstruction by replay) must come back clean;
@@ -51,19 +51,7 @@ func (v *VerifyResult) fail(msg string) {
 // tuple for the same plaintext. The returned error is a harness
 // failure; verification findings land in the result.
 func (s *Snapshot) RecoverVerify(golden map[addr.Block][addr.BlockBytes]byte) (VerifyResult, error) {
-	var res VerifyResult
-	mc, err := nvm.Restore(s.cfg, s.key, s.pm, s.ctrs, s.macs, s.tree)
-	if err != nil {
-		return res, fmt.Errorf("crashsim: restore controller: %w", err)
-	}
-	res.EntriesDrained = len(s.entries)
-	if _, err := recovery.DrainEntries(mc, s.entries); err != nil {
-		// A late drain that cannot complete is a correctness finding —
-		// the battery-backed state was insufficient — not a harness bug.
-		res.fail(fmt.Sprintf("late work failed: %v", err))
-		return res, nil
-	}
-	return res, verifyImage(mc, golden, &res)
+	return s.RecoverVerifyResumable(golden, -1, false)
 }
 
 // RecoverVerifyResumable is RecoverVerify under a degraded battery: the
@@ -74,20 +62,24 @@ func (s *Snapshot) RecoverVerify(golden map[addr.Block][addr.BlockBytes]byte) (V
 // late-work journal where the first boot's cursor stopped. With
 // dropJournal the journal is lost in the nested crash — the negative
 // control: the second boot can only audit what already drained, and
-// verification must find the undrained entries missing.
+// verification must find the undrained entries missing. A negative
+// budgetEntries is wall power: the first boot drains everything.
 func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes]byte, budgetEntries int, dropJournal bool) (VerifyResult, error) {
 	var res VerifyResult
-	mc, err := nvm.Restore(s.cfg, s.key, s.pm, s.ctrs, s.macs, s.tree)
+	mc, err := nvm.Restore(s.img, s.key)
 	if err != nil {
 		return res, fmt.Errorf("crashsim: restore controller: %w", err)
 	}
-	perJ, err := energy.PerEntryDrainJ(s.cfg.Scheme, s.cfg.BMTLevels)
-	if err != nil {
-		return res, fmt.Errorf("crashsim: per-entry drain energy: %w", err)
+	var budget *energy.Budget
+	if budgetEntries >= 0 {
+		perJ, err := energy.PerEntryDrainJ(s.img.Config.Scheme, s.img.Config.BMTLevels)
+		if err != nil {
+			return res, fmt.Errorf("crashsim: per-entry drain energy: %w", err)
+		}
+		// Half an entry of margin past the funded count: the battery
+		// browns out at entry boundaries, never mid-tuple.
+		budget = energy.NewBudget((float64(budgetEntries) + 0.5) * perJ)
 	}
-	// Half an entry of margin past the funded count: the battery browns
-	// out at entry boundaries, never mid-tuple.
-	budget := energy.NewBudget((float64(budgetEntries) + 0.5) * perJ)
 
 	j := recovery.NewJournal(s.entries)
 	_, derr := recovery.DrainEntriesBudget(mc, j, budget)
@@ -99,11 +91,9 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 		// Second boot: the nested crash preserved the partially-drained
 		// NV image (DrainEntriesBudget committed the staged sweep before
 		// dying); re-restore it so volatile state comes up cold.
-		mc2, rerr := nvm.Restore(s.cfg, s.key, mc.PM(), mc.Counters(), mc.MACs(), mc.Tree())
-		if rerr != nil {
-			return res, fmt.Errorf("crashsim: restore after nested crash: %w", rerr)
+		if mc, err = nvm.Restore(mc.Image(), s.key); err != nil {
+			return res, fmt.Errorf("crashsim: restore after nested crash: %w", err)
 		}
-		mc = mc2
 		if !dropJournal {
 			if _, rerr := recovery.DrainEntriesBudget(mc, j, nil); rerr != nil {
 				res.fail(fmt.Sprintf("journal resume failed: %v", rerr))
@@ -112,6 +102,8 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 			res.Resumed = true
 		}
 	default:
+		// A late drain that cannot complete is a correctness finding —
+		// the battery-backed state was insufficient — not a harness bug.
 		res.fail(fmt.Sprintf("late work failed: %v", derr))
 		return res, nil
 	}
@@ -140,7 +132,7 @@ func verifyImage(mc *nvm.Controller, golden map[addr.Block][addr.BlockBytes]byte
 			res.fail(fmt.Sprintf("phantom block %#x persisted but never committed", b.Addr()))
 		}
 	}
-	committed := sortedBlocks(golden)
+	committed := addr.SortedBlocks(golden)
 	for _, b := range committed {
 		if _, ok := have[b]; !ok {
 			res.fail(fmt.Sprintf("committed block %#x lost after recovery", b.Addr()))

@@ -138,46 +138,91 @@ func TestSystemSinkTransparency(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalarStep replays the same op stream through the
-// columnar batch loop and the per-op Step path and requires identical
-// results and memory images — the batch loop's block column is a
-// wall-clock strategy, never result bits.
+// recordSink is a crash sink that records every point it sees, in
+// firing order.
+type recordSink struct{ seq []recordedPoint }
+
+type recordedPoint struct {
+	kind  crashpoint.Kind
+	block addr.Block
+}
+
+func (s *recordSink) CrashPoint(k crashpoint.Kind, b addr.Block) {
+	s.seq = append(s.seq, recordedPoint{k, b})
+}
+
+// TestBatchMatchesScalarStep replays the same op stream per op through
+// Step and through the columnar batch loop — called directly, and
+// reached by Run's dispatch of a BatchSource (the workload generator) —
+// and requires identical results and memory images, without a sink and
+// with a recording one. Under the sink every loop must also fire the
+// identical (kind, block) crash-point sequence: the crash matrix runs on
+// RunBatch, so this is what makes its points Step's points. The batch
+// loop's block column is a wall-clock strategy, never result bits.
 func TestBatchMatchesScalarStep(t *testing.T) {
 	prof := mustProfile(t, "povray")
+	const nops = 6000
 	for _, scheme := range config.AllSchemes() {
 		cfg := config.Default().WithScheme(scheme)
-		ops, err := workload.Generate(prof, cfg.Seed, 6000)
+		ops, err := workload.Generate(prof, cfg.Seed, nops)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		scalar, err := New(cfg, prof, []byte("k"))
-		if err != nil {
-			t.Fatal(err)
+		loops := []struct {
+			name string
+			run  func(e *Engine) error
+		}{
+			{"Step", func(e *Engine) error {
+				for _, op := range ops {
+					if err := e.Step(op); err != nil {
+						return err
+					}
+				}
+				return e.Finish()
+			}},
+			{"RunBatch", func(e *Engine) error { return e.RunBatch(trace.NewSliceBatchSource(ops)) }},
+			{"Run(BatchSource)", func(e *Engine) error {
+				gen, err := workload.NewGenerator(prof, cfg.Seed, nops)
+				if err != nil {
+					return err
+				}
+				return e.Run(gen)
+			}},
 		}
-		for _, op := range ops {
-			if err := scalar.Step(op); err != nil {
-				t.Fatal(err)
+		for _, withSink := range []bool{false, true} {
+			var ref *Engine
+			var refPoints []recordedPoint
+			for _, loop := range loops {
+				e, err := New(cfg, prof, []byte("k"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink := &recordSink{}
+				if withSink {
+					e.SetCrashSink(sink)
+				}
+				if err := loop.run(e); err != nil {
+					t.Fatalf("%v/%s: %v", scheme, loop.name, err)
+				}
+				if ref == nil {
+					ref, refPoints = e, sink.seq
+					if withSink && len(refPoints) == 0 {
+						t.Fatalf("%v: Step fired no crash points", scheme)
+					}
+					continue
+				}
+				if got, want := e.Collect(), ref.Collect(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%s (sink=%v): result differs from Step\nStep: %+v\ngot:  %+v",
+						scheme, loop.name, withSink, want, got)
+				}
+				if !reflect.DeepEqual(e.Memory(), ref.Memory()) {
+					t.Errorf("%v/%s (sink=%v): memory image differs from Step", scheme, loop.name, withSink)
+				}
+				if !reflect.DeepEqual(sink.seq, refPoints) {
+					t.Errorf("%v/%s: crash-point stream differs from Step (%d points vs %d)",
+						scheme, loop.name, len(sink.seq), len(refPoints))
+				}
 			}
-		}
-		if err := scalar.Finish(); err != nil {
-			t.Fatal(err)
-		}
-
-		batched, err := New(cfg, prof, []byte("k"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
-			t.Fatal(err)
-		}
-
-		sres, bres := scalar.Collect(), batched.Collect()
-		if !reflect.DeepEqual(sres, bres) {
-			t.Errorf("%v: batch replay differs from scalar Step\nscalar: %+v\nbatch:  %+v", scheme, sres, bres)
-		}
-		if !reflect.DeepEqual(scalar.Memory(), batched.Memory()) {
-			t.Errorf("%v: batch replay memory image differs", scheme)
 		}
 	}
 }

@@ -212,37 +212,71 @@ func (c *Controller) initVolatile() {
 	c.heights = bmt.NewHeightModel(cfg)
 }
 
-// Restore rebuilds a secure controller around the NV state captured at a
-// crash point: the PM image, storage counters, MACs, and the BMT with
-// its root register. The caller owns the passed stores (they are adopted,
-// not copied). Volatile state — the metadata caches, the WPQ occupancy,
-// the crypto engine's derived-key schedule — is rebuilt cold, exactly as
-// a post-crash memory controller would come up; the tree is re-homed on
-// the fresh crypto engine, which hashes identically for the same key.
-// The device's bad-block table is validated against its checksum before
-// the image is trusted (a corrupted table would silently redirect
-// blocks); a mismatch returns a *CorruptStateError.
-func Restore(cfg config.Config, key []byte, pm *PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*Controller, error) {
+// Image is a secure controller's crash-surviving NV state: the PM image
+// (with its bad-block table), the storage counters, the MACs, and the
+// BMT with its NV root register, plus the configuration the controller
+// ran under. Volatile state — metadata caches, WPQ occupancy, staged
+// work — is not part of it.
+type Image struct {
+	Config   config.Config
+	PM       *PM
+	Counters *meta.CounterStore
+	MACs     *meta.MACStore
+	Tree     *bmt.Tree
+}
+
+// Image returns the controller's live NV image, not a copy, as a power
+// failure at this instant would leave it: staged drain tuples are
+// materialized first, so it holds what the eager pipeline would have
+// persisted.
+func (c *Controller) Image() Image {
+	return Image{Config: c.cfg, PM: c.PM(), Counters: c.ctrs, MACs: c.MACs(), Tree: c.tree}
+}
+
+// Snapshot deep-copies the controller's NV image (Image().Clone()).
+func (c *Controller) Snapshot() Image { return c.Image().Clone() }
+
+// Clone deep-copies the image. Restore adopts the stores it is given,
+// so an image restored more than once must be cloned first.
+func (img Image) Clone() Image {
+	img.PM = img.PM.Snapshot()
+	img.Counters = img.Counters.Snapshot()
+	img.MACs = img.MACs.Snapshot()
+	img.Tree = img.Tree.Snapshot()
+	return img
+}
+
+// Restore rebuilds a secure controller around a crash image. The
+// controller adopts the image's stores; they are not copied. Volatile
+// state — the metadata caches, the WPQ occupancy, the crypto engine's
+// derived-key schedule — is rebuilt cold, exactly as a post-crash memory
+// controller would come up; the tree is re-homed on the fresh crypto
+// engine, which hashes identically for the same key. The device's
+// bad-block table is validated against its checksum before the image is
+// trusted (a corrupted table would silently redirect blocks); a mismatch
+// returns a *CorruptStateError.
+func Restore(img Image, key []byte) (*Controller, error) {
+	cfg := img.Config
 	if !cfg.Scheme.Secure() {
 		return nil, fmt.Errorf("nvm: Restore requires a secure scheme, got %v", cfg.Scheme)
 	}
-	if err := pm.CheckBadBlocks(); err != nil {
+	if err := img.PM.CheckBadBlocks(); err != nil {
 		return nil, err
 	}
 	eng, err := crypto.NewEngine(key)
 	if err != nil {
 		return nil, err
 	}
-	tree.SetHasher(eng)
+	img.Tree.SetHasher(eng)
 	c := &Controller{
 		cfg:    cfg,
 		secure: true,
-		pm:     pm,
+		pm:     img.PM,
 		wpq:    NewWPQ(cfg.WPQEntries),
 		eng:    eng,
-		tree:   tree,
-		ctrs:   ctrs,
-		macs:   macs,
+		tree:   img.Tree,
+		ctrs:   img.Counters,
+		macs:   img.MACs,
 	}
 	c.stagedIx = ptable.New[int32]()
 	c.armFault()

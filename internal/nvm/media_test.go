@@ -107,12 +107,11 @@ func TestBadBlockRemapSurvivesSnapshot(t *testing.T) {
 	mc.PM().Retire(addr.FromIndex(2))
 	mc.PM().Retire(addr.FromIndex(5))
 
-	pm := mc.PM().Snapshot()
-	if pm.BadBlocks() != 2 {
-		t.Fatalf("snapshot lost bad-block entries: %d", pm.BadBlocks())
+	img := mc.Snapshot()
+	if img.PM.BadBlocks() != 2 {
+		t.Fatalf("snapshot lost bad-block entries: %d", img.PM.BadBlocks())
 	}
-	mc2, err := Restore(cfg, []byte("media-test-key"), pm,
-		mc.Counters().Snapshot(), mc.MACs().Snapshot(), mc.Tree().Snapshot())
+	mc2, err := Restore(img, []byte("media-test-key"))
 	if err != nil {
 		t.Fatalf("restore with valid bad-block table: %v", err)
 	}
@@ -137,12 +136,11 @@ func TestRestoreRejectsCorruptBadBlockTable(t *testing.T) {
 	mc.CompleteSweep()
 	mc.PM().Retire(addr.FromIndex(1))
 
-	pm := mc.PM().Snapshot()
-	if err := pm.CorruptBadBlockTable(); err != nil {
+	img := mc.Snapshot()
+	if err := img.PM.CorruptBadBlockTable(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Restore(cfg, []byte("media-test-key"), pm,
-		mc.Counters().Snapshot(), mc.MACs().Snapshot(), mc.Tree().Snapshot())
+	_, err = Restore(img, []byte("media-test-key"))
 	var corrupt *CorruptStateError
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("Restore accepted a corrupt bad-block table: err=%v", err)

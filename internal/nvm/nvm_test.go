@@ -399,3 +399,47 @@ func TestUnifiedMDCKeysDoNotAlias(t *testing.T) {
 		t.Error("BMT path re-fetched despite unified MDC residency")
 	}
 }
+
+// TestSnapshotRestoreIsolation checks the crash image's ownership
+// rules: Snapshot copies the live controller, Restore adopts the image
+// it is given, and Clone detaches an image that is restored twice.
+func TestSnapshotRestoreIsolation(t *testing.T) {
+	c := secureController(t)
+	var plain [addr.BlockBytes]byte
+	plain[0] = 0xAB
+	b := addr.FromIndex(3)
+	if _, err := c.PersistBlock(b, &plain, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.CompleteSweep()
+	img := c.Snapshot()
+	if img.Config != c.Config() {
+		t.Fatal("image lost the controller's config")
+	}
+
+	first, err := Restore(img.Clone(), []byte("test key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.PM().Tamper(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := first.FetchBlock(b); err == nil {
+		t.Fatal("tampered restore verified clean")
+	}
+	for name, mc := range map[string]*Controller{"live": c, "image": mustRestore(t, img)} {
+		got, _, err := mc.FetchBlock(b)
+		if err != nil || got != plain {
+			t.Errorf("%s controller saw the clone's tamper: %v", name, err)
+		}
+	}
+}
+
+func mustRestore(t *testing.T, img Image) *Controller {
+	t.Helper()
+	mc, err := Restore(img, []byte("test key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mc
+}

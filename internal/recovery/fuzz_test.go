@@ -11,7 +11,6 @@ import (
 	"secpb/internal/config"
 	"secpb/internal/crypto"
 	"secpb/internal/engine"
-	"secpb/internal/meta"
 	"secpb/internal/nvm"
 	"secpb/internal/workload"
 )
@@ -20,17 +19,13 @@ import (
 // built once and cloned per fuzz execution so tampering never leaks
 // between iterations.
 type corruptionBase struct {
-	cfg    config.Config
+	img    nvm.Image
 	key    []byte
-	pm     *nvm.PM
-	ctrs   *meta.CounterStore
-	macs   *meta.MACStore
-	tree   *bmt.Tree
 	blocks []addr.Block // persisted blocks, address order
 }
 
 func (b *corruptionBase) clone() (*nvm.Controller, error) {
-	return nvm.Restore(b.cfg, b.key, b.pm.Snapshot(), b.ctrs.Snapshot(), b.macs.Snapshot(), b.tree.Snapshot())
+	return nvm.Restore(b.img.Clone(), b.key)
 }
 
 var corruptionBases struct {
@@ -73,15 +68,7 @@ func buildCorruptionBases() ([]*corruptionBase, error) {
 		if len(blocks) == 0 {
 			return nil, fmt.Errorf("%v base image has no persisted blocks", scheme)
 		}
-		bases = append(bases, &corruptionBase{
-			cfg:    cfg,
-			key:    key,
-			pm:     mc.PM().Snapshot(),
-			ctrs:   mc.Counters().Snapshot(),
-			macs:   mc.MACs().Snapshot(),
-			tree:   mc.Tree().Snapshot(),
-			blocks: blocks,
-		})
+		bases = append(bases, &corruptionBase{img: mc.Snapshot(), key: key, blocks: blocks})
 	}
 	return bases, nil
 }
@@ -165,7 +152,7 @@ func FuzzCorruptionDetection(f *testing.F) {
 		}
 		if rep.Clean() {
 			t.Errorf("%s: %s on block %#x escaped the audit (false negative)",
-				base.cfg.Scheme, what, victim.Addr())
+				base.img.Config.Scheme, what, victim.Addr())
 		}
 	})
 }

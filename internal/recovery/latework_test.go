@@ -39,9 +39,7 @@ func pendingImage(t *testing.T, scheme config.Scheme) (*nvm.Controller, []core.E
 	if len(entries) < 3 {
 		t.Fatalf("run left only %d pending entries; budgeted-resume test needs several", len(entries))
 	}
-	mc := e.Controller()
-	restored, err := nvm.Restore(cfg, key, mc.PM().Snapshot(), mc.Counters().Snapshot(),
-		mc.MACs().Snapshot(), mc.Tree().Snapshot())
+	restored, err := nvm.Restore(e.Controller().Snapshot(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestRecoveryMatrixDrainEpoch(t *testing.T) {
 					Points: points,
 					Seed:   99,
 					Kinds:  drainKinds,
-				})
+				}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

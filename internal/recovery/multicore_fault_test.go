@@ -65,8 +65,7 @@ func TestSystemFaultSweep(t *testing.T) {
 			// sealed canonical order.
 			restore := func(mc *nvm.Controller) *nvm.Controller {
 				t.Helper()
-				r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(), mc.Counters().Snapshot(),
-					mc.MACs().Snapshot(), mc.Tree().Snapshot())
+				r, err := nvm.Restore(mc.Snapshot(), key)
 				if err != nil {
 					t.Fatal(err)
 				}

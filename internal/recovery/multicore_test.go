@@ -35,8 +35,7 @@ func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
 
 	restore := func(mc *nvm.Controller) *nvm.Controller {
 		t.Helper()
-		r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(), mc.Counters().Snapshot(),
-			mc.MACs().Snapshot(), mc.Tree().Snapshot())
+		r, err := nvm.Restore(mc.Snapshot(), key)
 		if err != nil {
 			t.Fatal(err)
 		}

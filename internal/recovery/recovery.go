@@ -14,7 +14,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"secpb/internal/addr"
 	"secpb/internal/engine"
@@ -46,17 +45,6 @@ func (r Report) String() string {
 		r.EntriesDrained, r.BlocksChecked, r.PlainMismatches, r.VerifyFailures, status)
 }
 
-// sortedBlocks returns the blocks of the program view in address order
-// so reports and iteration are deterministic.
-func sortedBlocks(mem map[addr.Block][addr.BlockBytes]byte) []addr.Block {
-	blocks := make([]addr.Block, 0, len(mem))
-	for b := range mem {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	return blocks
-}
-
 // CrashAndRecover performs the full correct procedure on a crashed
 // engine: battery-drain every SecPB entry (completing memory tuples per
 // the scheme's laziness), then recover: fetch, decrypt and verify every
@@ -80,7 +68,7 @@ func CrashAndRecover(e *engine.Engine) (Report, error) {
 func verify(e *engine.Engine, rep *Report) {
 	mc := e.Controller()
 	mem := e.Memory()
-	for _, b := range sortedBlocks(mem) {
+	for _, b := range addr.SortedBlocks(mem) {
 		want := mem[b]
 		rep.BlocksChecked++
 		got, _, err := mc.FetchBlock(b)

@@ -70,26 +70,26 @@ func FuzzTriageQuarantine(f *testing.F) {
 			t.Fatal(err)
 		}
 		if rep.Quarantined != len(tampered) {
-			t.Errorf("%s: %d blocks tampered, %d quarantined", base.cfg.Scheme, len(tampered), rep.Quarantined)
+			t.Errorf("%s: %d blocks tampered, %d quarantined", base.img.Config.Scheme, len(tampered), rep.Quarantined)
 		}
 		for _, b := range base.blocks {
 			class, ok := rep.Class(b)
 			if !ok {
-				t.Fatalf("%s: block %#x not triaged", base.cfg.Scheme, b.Addr())
+				t.Fatalf("%s: block %#x not triaged", base.img.Config.Scheme, b.Addr())
 			}
 			if what, hit := tampered[b]; hit {
 				if class != ClassQuarantined {
 					t.Errorf("%s: %s on block %#x classed %v, want quarantined (false negative)",
-						base.cfg.Scheme, what, b.Addr(), class)
+						base.img.Config.Scheme, what, b.Addr(), class)
 				}
 				continue
 			}
 			if class == ClassQuarantined {
-				t.Errorf("%s: untampered block %#x quarantined (false positive)", base.cfg.Scheme, b.Addr())
+				t.Errorf("%s: untampered block %#x quarantined (false positive)", base.img.Config.Scheme, b.Addr())
 				continue
 			}
 			if got, ok := rep.Recovered(b); !ok || got != want[b] {
-				t.Errorf("%s: untampered block %#x not salvaged byte-identically", base.cfg.Scheme, b.Addr())
+				t.Errorf("%s: untampered block %#x not salvaged byte-identically", base.img.Config.Scheme, b.Addr())
 			}
 		}
 	})

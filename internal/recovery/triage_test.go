@@ -20,17 +20,17 @@ func TestTriageCleanImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Degraded() {
-			t.Fatalf("%v: pristine image triaged degraded: %s", base.cfg.Scheme, rep)
+			t.Fatalf("%v: pristine image triaged degraded: %s", base.img.Config.Scheme, rep)
 		}
 		if rep.Clean != len(base.blocks) || rep.Blocks != len(base.blocks) {
-			t.Fatalf("%v: %d of %d blocks clean", base.cfg.Scheme, rep.Clean, len(base.blocks))
+			t.Fatalf("%v: %d of %d blocks clean", base.img.Config.Scheme, rep.Clean, len(base.blocks))
 		}
 		for _, b := range base.blocks {
 			ct, _ := mc.PM().Peek(b)
 			want := eng.Decrypt(&ct, b.Addr(), mc.Counters().Value(b))
 			got, ok := rep.Recovered(b)
 			if !ok || got != want {
-				t.Fatalf("%v: clean block %#x not salvaged byte-identically", base.cfg.Scheme, b.Addr())
+				t.Fatalf("%v: clean block %#x not salvaged byte-identically", base.img.Config.Scheme, b.Addr())
 			}
 		}
 	}

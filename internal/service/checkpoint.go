@@ -11,7 +11,8 @@ import (
 
 // Checkpoint manifest format — the same sealed-record discipline as
 // harness/diskcache: magic, a kind+version stamp, a fixed payload, and
-// a trailing FNV-64a seal over everything before it, written to a temp
+// a trailing seal over everything before it (the service hash of
+// result.go, not diskcache's FNV-64a), written to a temp
 // file and atomically renamed into place. A manifest is tiny on
 // purpose: the durable session state is the append-only segment log,
 // and the manifest just seals a *cursor* into it (byte offset, segment
@@ -56,9 +57,9 @@ type manifest struct {
 	Segs         uint64 // segments durably applied
 	Ops          uint64 // operations durably applied
 	LogBytes     uint64 // durable byte length of the segment log (incl. header)
-	Chain        uint64 // FNV-64a chain over log bytes [SPB2HeaderLen, LogBytes)
-	Digest       uint64 // stateDigest of the engine after Segs segments
-	ResultDigest uint64 // FNV-64a of result.json (finalized manifests only)
+	Chain        uint64 // service-hash chain over log bytes [SPB2HeaderLen, LogBytes)
+	Digest       uint64 // StateDigest of the engine after Segs segments
+	ResultDigest uint64 // service hash of result.json (finalized manifests only)
 }
 
 func (m *manifest) encode() []byte {

@@ -7,18 +7,22 @@ import (
 	"secpb/internal/engine"
 )
 
-// FNV-64a, carried as a resumable uint64 chain. hash/fnv cannot be
-// re-seeded from a stored state, so the service keeps the running hash
-// of its segment log as a plain integer that survives checkpoints.
+// The service's hash: the FNV-1a step (xor the byte, multiply by the
+// 64-bit FNV prime) from a fixed non-standard offset, carried as a
+// resumable uint64 chain. The offset is 0xcbf29ce4841c3be7, not FNV's
+// basis 0xcbf29ce484222325, so digests do not match hash/fnv's New64a;
+// the value is kept because checkpoint manifests and state digests
+// already sealed with it must keep verifying. hash/fnv could not carry
+// the chain anyway: it cannot be re-seeded from a stored state.
 const (
 	fnvOffset64 = 14695981039346269159
 	fnvPrime64  = 1099511628211
 )
 
-// fnvInit is the FNV-64a offset basis — the chain value of an empty log.
+// fnvInit is the chain's offset — the value of an empty log.
 func fnvInit() uint64 { return fnvOffset64 }
 
-// fnvUpdate folds p into a running FNV-64a state.
+// fnvUpdate folds p into a running chain.
 func fnvUpdate(h uint64, p []byte) uint64 {
 	for _, b := range p {
 		h ^= uint64(b)
@@ -100,10 +104,11 @@ func EncodeResult(r engine.Result) []byte {
 	return append(b, '\n')
 }
 
-// stateDigest hashes an engine's full observable result state. Equal
-// digests after equal op streams are the service's committed-prefix
-// identity check: a resumed session must reproduce the digest its
-// checkpoint sealed before it may accept new segments.
-func stateDigest(r engine.Result) uint64 {
+// StateDigest hashes an engine's full observable result state: the
+// service hash of EncodeResult. Equal digests after equal op streams
+// are the service's committed-prefix identity check: a resumed session
+// must reproduce the digest its checkpoint sealed before it may accept
+// new segments.
+func StateDigest(r engine.Result) uint64 {
 	return fnvUpdate(fnvInit(), EncodeResult(r))
 }

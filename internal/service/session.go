@@ -327,7 +327,7 @@ func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metr
 	if ops != m.Ops {
 		return nil, corrupt(logPath, "replayed %d ops, manifest sealed %d", ops, m.Ops)
 	}
-	if got := stateDigest(eng.Collect()); got != m.Digest {
+	if got := StateDigest(eng.Collect()); got != m.Digest {
 		return nil, corrupt(logPath, "replayed state digest %016x, manifest sealed %016x", got, m.Digest)
 	}
 
@@ -346,7 +346,7 @@ func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metr
 	return s, nil
 }
 
-// hashLogTail computes the FNV-64a chain over log bytes
+// hashLogTail computes the service-hash chain over log bytes
 // [SPB2HeaderLen, n) and verifies the header bytes themselves.
 func hashLogTail(path string, n uint64) (uint64, error) {
 	f, err := os.Open(path)
@@ -594,7 +594,7 @@ func (s *Session) checkpoint(state uint64) error {
 		Ops:      s.procOps,
 		LogBytes: trace.SPB2HeaderLen + s.procBytes,
 		Chain:    s.procChain,
-		Digest:   stateDigest(res),
+		Digest:   StateDigest(res),
 	}
 	n, err := writeManifest(s.dir, &m)
 	if err != nil {
@@ -655,7 +655,7 @@ func (s *Session) doFinalize() {
 		Ops:          s.procOps,
 		LogBytes:     trace.SPB2HeaderLen + s.procBytes,
 		Chain:        s.procChain,
-		Digest:       stateDigest(res),
+		Digest:       StateDigest(res),
 		ResultDigest: fnvUpdate(fnvInit(), enc),
 	}
 	n, err := writeManifest(s.dir, &m)

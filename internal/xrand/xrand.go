@@ -126,3 +126,20 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
+
+// CellSeed derives the seed of one scheme × workload cell from a base
+// seed, so every cell of a grid draws an independent but reproducible
+// stream. The value is never zero.
+func CellSeed(base uint64, scheme, workload string) uint64 {
+	h := base ^ 0x9E3779B97F4A7C15
+	for _, s := range []string{scheme, "/", workload} {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}

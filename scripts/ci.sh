@@ -130,9 +130,19 @@ echo "multicore battery grid identical: serial vs parallel"
 # Crash-matrix smoke: every SecPB scheme survives a fixed-seed set of
 # injected power failures on a short trace, recovering byte-identically
 # to the golden model. The full-budget sweep is TestCrashMatrixFull.
+# A serial re-run must reproduce the table and the artifact byte for
+# byte: the worker count never leaks into a crash matrix.
 go build -o "$tmp/secpb-crash" ./cmd/secpb-crash
 "$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 \
-    -out "$tmp/crash-matrix.json"
+    -out "$tmp/crash-matrix.json" > "$tmp/crash.txt"
+"$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 -parallel 1 \
+    -out "$tmp/crash-matrix-serial.json" > "$tmp/crash-serial.txt"
+if ! diff -q "$tmp/crash.txt" "$tmp/crash-serial.txt" ||
+    ! diff -q "$tmp/crash-matrix.json" "$tmp/crash-matrix-serial.json"; then
+    echo "ERROR: crash matrix differs between default and -parallel 1 runs" >&2
+    exit 1
+fi
+cat "$tmp/crash.txt"
 
 # Degraded-mode smoke: the fixed-seed fault sweep (six schemes across
 # clean / torn-write / bit-rot media) plus the nested battery-exhaustion
@@ -141,7 +151,15 @@ go build -o "$tmp/secpb-crash" ./cmd/secpb-crash
 go test -short -race -run 'TestFaultSweep|TestNested' ./internal/recovery/ ./internal/crashsim/
 go build -o "$tmp/secpb-heal" ./cmd/secpb-heal
 "$tmp/secpb-heal" -schemes all -bench gcc -ops 1500 -faultrate 0.05 -budget 3 \
-    -seed 42 -out "$tmp/heal-matrix.json"
+    -seed 42 -out "$tmp/heal-matrix.json" > "$tmp/heal.txt"
+"$tmp/secpb-heal" -schemes all -bench gcc -ops 1500 -faultrate 0.05 -budget 3 \
+    -seed 42 -parallel 1 -out "$tmp/heal-matrix-serial.json" > "$tmp/heal-serial.txt"
+if ! diff -q "$tmp/heal.txt" "$tmp/heal-serial.txt" ||
+    ! diff -q "$tmp/heal-matrix.json" "$tmp/heal-matrix-serial.json"; then
+    echo "ERROR: heal grid differs between default and -parallel 1 runs" >&2
+    exit 1
+fi
+cat "$tmp/heal.txt"
 
 # SPB2 trace-format gate: gen -> convert -> dump must round-trip the
 # ops exactly between the flat SPB1 and segmented-columnar SPB2
