@@ -25,9 +25,11 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // returns the results in input order. fn receives the item's index so it
 // can label work without shared state.
 //
-// On error, the pool context is cancelled, remaining unstarted jobs are
-// skipped, and Map returns the error from the lowest-indexed failed job
-// after all in-flight jobs finish. A cancelled ctx yields ctx.Err().
+// On error, the pool context is cancelled, unstarted jobs above the
+// failed one are skipped, and Map returns the error from the
+// lowest-indexed failed job after all in-flight jobs finish. Claimed
+// jobs below the failed one still run, so which error is returned does
+// not depend on scheduling. A cancelled ctx yields ctx.Err().
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -58,20 +60,23 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 		return results, nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
 		next     atomic.Int64 // next item index to claim
-		mu       sync.Mutex
+		errIdx   atomic.Int64 // index of the lowest-indexed error
+		mu       sync.Mutex   // guards firstErr and errIdx's stores
 		firstErr error
-		errIdx   = len(items) // index of the lowest-indexed error
 		wg       sync.WaitGroup
 	)
+	errIdx.Store(int64(len(items)))
 	fail := func(i int, err error) {
 		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
+		if int64(i) < errIdx.Load() {
+			errIdx.Store(int64(i))
+			firstErr = err
 		}
 		mu.Unlock()
 		cancel()
@@ -86,7 +91,14 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 				if i >= len(items) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
+				// A job above a failed one is skipped. A job below it
+				// was claimed first (claims go in index order) and
+				// still runs: its own error, not the cancellation,
+				// decides which error Map returns.
+				if int64(i) > errIdx.Load() {
+					return
+				}
+				if err := parent.Err(); err != nil {
 					fail(i, err)
 					return
 				}

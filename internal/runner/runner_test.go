@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderAndValues(t *testing.T) {
@@ -55,7 +56,10 @@ func TestMapFirstErrorIsLowestIndex(t *testing.T) {
 }
 
 // TestMapErrorAbortsPromptly asserts an injected failure stops the pool
-// from starting the long tail of queued jobs.
+// from starting the long tail of queued jobs. Every other job holds its
+// worker until the pool is cancelled (or a generous deadline passes), so
+// the other workers cannot drain the queue while the failing job's
+// worker waits to be scheduled.
 func TestMapErrorAbortsPromptly(t *testing.T) {
 	const n = 10_000
 	items := make([]int, n)
@@ -64,6 +68,10 @@ func TestMapErrorAbortsPromptly(t *testing.T) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("injected")
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
 		}
 		return 0, nil
 	})
