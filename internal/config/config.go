@@ -61,6 +61,15 @@ func (s Scheme) String() string {
 // MarshalText renders the scheme name in JSON and text encodings.
 func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
+// UnmarshalText parses a scheme name MarshalText wrote.
+func (s *Scheme) UnmarshalText(b []byte) error {
+	v, err := SchemeByName(string(b))
+	if err == nil {
+		*s = v
+	}
+	return err
+}
+
 // SchemeByName returns the scheme with the given paper name.
 func SchemeByName(name string) (Scheme, error) {
 	for _, s := range AllSchemes() {

@@ -188,4 +188,18 @@ func TestSchemeMarshalText(t *testing.T) {
 	if err != nil || string(b) != "cobcm" {
 		t.Errorf("MarshalText = %q, %v", b, err)
 	}
+	for _, s := range AllSchemes() {
+		b, err := s.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Scheme
+		if err := got.UnmarshalText(b); err != nil || got != s {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", b, got, err, s)
+		}
+	}
+	got := SchemeCM
+	if err := got.UnmarshalText([]byte("nope")); err == nil || got != SchemeCM {
+		t.Errorf("UnmarshalText(nope) = %v, %v; want an error and no change", got, err)
+	}
 }

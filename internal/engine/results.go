@@ -8,12 +8,15 @@ import (
 	"secpb/internal/workload"
 )
 
-// ResultsVersion stamps persisted simulation results. Any change to
-// the Result fields, their semantics, or anything that alters modeled
-// numbers for the same inputs (cycle accounting, cache policy, crypto
-// schedule) must bump it: persistent caches embed the stamp in every
-// record and treat a mismatch as a miss, so stale results can never
-// leak into artifacts after the simulator changes underneath them.
+// ResultsVersion stamps persisted simulation results. Anything that
+// alters modeled numbers for the same inputs (cycle accounting, cache
+// policy, crypto schedule) must bump it: the cell cache embeds the
+// stamp in every record and treats a mismatch as a miss, so stale
+// results can never leak into artifacts after the simulator changes
+// underneath them. It is also part of the service's checkpoint kind
+// (service.ckptKind), so a bump makes every existing session
+// checkpoint unreadable. A new Result field alone needs no bump: the
+// cache rejects a record whose JSON lacks it.
 const ResultsVersion = "secpb-results-v1"
 
 // ExperimentKey is the fixed memory-encryption key every experiment

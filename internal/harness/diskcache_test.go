@@ -1,13 +1,19 @@
 package harness
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"secpb/internal/config"
 	"secpb/internal/engine"
+	"secpb/internal/record"
 	"secpb/internal/workload"
 )
 
@@ -86,7 +92,7 @@ func TestDiskCellStoreRejectsFlippedChecksumByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte: the FNV seal no longer matches.
+	// Flip one payload byte: the seal no longer matches.
 	raw[len(raw)/2] ^= 0xff
 	if err := os.WriteFile(p, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -107,8 +113,7 @@ func TestDiskCellStoreRejectsStaleVersionStamp(t *testing.T) {
 	// an older simulator): a correctly sealed record must still be
 	// rejected on the version check alone.
 	stale := &DiskCellStore{diskStore[engine.Result]{
-		dir: store.dir, kind: "cell/secpb-results-v0",
-		enc: encodeResult, dec: decodeResult,
+		dir: store.dir, kind: "cell-json/secpb-results-v0",
 	}}
 	stale.Save(key, res)
 	if _, err := os.Stat(p); err != nil {
@@ -202,8 +207,7 @@ func TestDiskBatteryStoreRoundTrip(t *testing.T) {
 	// Cell and battery records share a directory but not a stamp: a
 	// cell store must reject a battery record outright.
 	cellStore := &DiskCellStore{diskStore[engine.Result]{
-		dir: store.dir, kind: "cell/" + engine.ResultsVersion,
-		enc: encodeResult, dec: decodeResult,
+		dir: store.dir, kind: "cell-json/" + engine.ResultsVersion,
 	}}
 	if _, ok := cellStore.Load(key); ok {
 		t.Fatal("cell store loaded a battery record")
@@ -224,5 +228,115 @@ func TestDiskStoreFilenameIsContentKey(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("want exactly one record file, got %d", len(ents))
+	}
+}
+
+// TestDiskCellStoreRejectsWrappingStringLength: a sealed record whose
+// kind length is near 2^64 must be a typed corrupt record and a
+// resimulation, never a panic. The first record uses the earlier cache
+// format (u64 length, FNV-64a seal), where pos+length wrapped past the
+// bound check and sliced out of range; it now fails the seal. The
+// second passes the current seal, so the length reaches the reader's
+// bound.
+func TestDiskCellStoreRejectsWrappingStringLength(t *testing.T) {
+	const wrap = 1<<64 - 8
+	old := binary.LittleEndian.AppendUint64([]byte(cacheMagic), wrap)
+	h := fnv.New64a()
+	h.Write(old)
+	old = binary.LittleEndian.AppendUint64(old, h.Sum64())
+	cur := binary.AppendUvarint([]byte(cacheMagic), wrap)
+	cur = binary.LittleEndian.AppendUint64(cur, record.Sum(cur))
+
+	for name, raw := range map[string][]byte{"fnv64a/u64": old, "service/uvarint": cur} {
+		store, err := NewDiskCellStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key CellKey
+		if err := os.WriteFile(store.path(key), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var corrupt *CorruptCacheError
+		if _, err := store.load(key); !errors.As(err, &corrupt) {
+			t.Fatalf("%s: want *CorruptCacheError, got %v", name, err)
+		}
+		memo := NewCellMemo()
+		memo.SetStore(store)
+		want := engine.Result{Benchmark: "gcc", Cycles: 7}
+		got, hit, err := memo.Do(key, func() (engine.Result, error) { return want, nil })
+		if err != nil || hit || got != want {
+			t.Fatalf("%s: memo did not resimulate (hit=%v err=%v): %+v", name, hit, err, got)
+		}
+	}
+}
+
+// fillDistinct sets every exported field of the struct v points to a
+// distinct non-zero value (a valid name for config.Scheme), except the
+// named fields, and fails on a field kind it does not know.
+func fillDistinct(t *testing.T, v any, except ...string) {
+	t.Helper()
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, sf := rv.Field(i), rv.Type().Field(i)
+		switch {
+		case slices.Contains(except, sf.Name):
+		case sf.Type == reflect.TypeOf(config.Scheme(0)):
+			f.Set(reflect.ValueOf(config.SchemeCOBCM))
+		case f.CanInt():
+			f.SetInt(-1 - int64(i))
+		case f.CanUint():
+			f.SetUint(1<<63 + uint64(i))
+		case f.CanFloat():
+			f.SetFloat(float64(i) + 1.0/3)
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("field-%d", i))
+		default:
+			t.Fatalf("%s.%s: no distinct value for kind %s", rv.Type(), sf.Name, f.Kind())
+		}
+	}
+}
+
+// TestDiskStoresRoundTripEveryField: every field of engine.Result and
+// BatteryCell survives Save then Load exactly, so a new field needs no
+// codec change (IntegrityErr is never saved).
+func TestDiskStoresRoundTripEveryField(t *testing.T) {
+	var key CellKey
+	key[0] = 0xef
+
+	var res engine.Result
+	fillDistinct(t, &res, "IntegrityErr")
+	cells, err := NewDiskCellStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells.Save(key, res)
+	if got, ok := cells.Load(key); !ok || got != res {
+		t.Fatalf("Result round trip (ok=%v):\n got %#v\nwant %#v", ok, got, res)
+	}
+
+	var cell BatteryCell
+	fillDistinct(t, &cell)
+	batteries, err := NewDiskBatteryStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batteries.Save(key, cell)
+	if got, ok := batteries.Load(key); !ok || got != cell {
+		t.Fatalf("BatteryCell round trip (ok=%v):\n got %+v\nwant %+v", ok, got, cell)
+	}
+}
+
+// TestDiskCellStoreRejectsMissingField: a sealed, correctly stamped
+// record whose JSON lacks a field (one written before the field was
+// added) is corrupt, not a zero-filled hit.
+func TestDiskCellStoreRejectsMissingField(t *testing.T) {
+	store, key, _ := cacheFixture(t)
+	payload := []byte(`{"Benchmark":"gcc","Cycles":1}`)
+	if err := os.WriteFile(store.path(key), record.Seal(cacheMagic, store.kind, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var corrupt *CorruptCacheError
+	if _, err := store.load(key); !errors.As(err, &corrupt) {
+		t.Fatalf("want *CorruptCacheError for a record missing fields, got %v", err)
 	}
 }

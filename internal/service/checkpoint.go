@@ -1,24 +1,24 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"secpb/internal/engine"
+	"secpb/internal/record"
 )
 
-// Checkpoint manifest format — the same sealed-record discipline as
-// harness/diskcache: magic, a kind+version stamp, a fixed payload, and
-// a trailing seal over everything before it (the service hash of
-// result.go, not diskcache's FNV-64a), written to a temp
-// file and atomically renamed into place. A manifest is tiny on
-// purpose: the durable session state is the append-only segment log,
-// and the manifest just seals a *cursor* into it (byte offset, segment
-// count, log hash chain, engine state digest). Resume replays the log
-// prefix the manifest names and refuses to proceed unless every seal,
-// chain, and digest agrees — there is no partial restore.
+// Checkpoint manifest format — a sealed record (internal/record, the
+// layer the harness cell cache also uses): magic, a kind+version stamp,
+// a fixed payload, and a trailing service-hash seal over everything
+// before it, written durably (fsync of file and directory) through a
+// temp file and an atomic rename. A manifest is tiny on purpose: the
+// durable session state is the append-only segment log, and the
+// manifest just seals a *cursor* into it (byte offset, segment count,
+// log hash chain, engine state digest). Resume replays the log prefix
+// the manifest names and refuses to proceed unless every seal, chain,
+// and digest agrees — there is no partial restore.
 const (
 	ckptMagic = "SPBK"
 	ckptFile  = "ckpt.spbk"
@@ -63,142 +63,50 @@ type manifest struct {
 }
 
 func (m *manifest) encode() []byte {
-	var buf []byte
-	buf = append(buf, ckptMagic...)
-	buf = appendStr(buf, ckptKind)
-	buf = appendStr(buf, m.Spec.Name)
-	buf = appendStr(buf, m.Spec.Scheme)
-	buf = appendStr(buf, m.Spec.Bench)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Spec.Seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Spec.Entries))
-	buf = binary.LittleEndian.AppendUint64(buf, m.State)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Segs)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Ops)
-	buf = binary.LittleEndian.AppendUint64(buf, m.LogBytes)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Chain)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Digest)
-	buf = binary.LittleEndian.AppendUint64(buf, m.ResultDigest)
-	seal := fnvUpdate(fnvInit(), buf)
-	return binary.LittleEndian.AppendUint64(buf, seal)
+	var p []byte
+	p = record.AppendStr(p, m.Spec.Name)
+	p = record.AppendStr(p, m.Spec.Scheme)
+	p = record.AppendStr(p, m.Spec.Bench)
+	for _, v := range []uint64{m.Spec.Seed, uint64(m.Spec.Entries), m.State, m.Segs, m.Ops,
+		m.LogBytes, m.Chain, m.Digest, m.ResultDigest} {
+		p = record.AppendU64(p, v)
+	}
+	return record.Seal(ckptMagic, ckptKind, p)
 }
 
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// decodeManifest verifies the seal, magic, and kind stamp before
-// trusting a single payload byte, mirroring diskStore.load.
+// decodeManifest verifies the seal, magic, and kind stamp (record.Open)
+// before trusting a single payload byte.
 func decodeManifest(path string, raw []byte) (*manifest, error) {
-	bad := func(detail string) (*manifest, error) {
-		return nil, &CorruptCheckpointError{Path: path, Detail: detail}
+	payload, err := record.Open(ckptMagic, ckptKind, raw)
+	if err != nil {
+		return nil, &CorruptCheckpointError{Path: path, Detail: err.Error()}
 	}
-	if len(raw) < len(ckptMagic)+8 {
-		return bad(fmt.Sprintf("short manifest: %d bytes", len(raw)))
-	}
-	body, tail := raw[:len(raw)-8], raw[len(raw)-8:]
-	if got, want := binary.LittleEndian.Uint64(tail), fnvUpdate(fnvInit(), body); got != want {
-		return bad(fmt.Sprintf("seal mismatch: stored %016x computed %016x", got, want))
-	}
-	if string(body[:len(ckptMagic)]) != ckptMagic {
-		return bad("bad magic")
-	}
-	r := manifestReader{buf: body[len(ckptMagic):], path: path}
-	kind := r.str()
-	if r.err == nil && kind != ckptKind {
-		return bad(fmt.Sprintf("kind stamp %q (want %q)", kind, ckptKind))
-	}
+	r := record.NewReader(payload)
 	var m manifest
-	m.Spec.Name = r.str()
-	m.Spec.Scheme = r.str()
-	m.Spec.Bench = r.str()
-	m.Spec.Seed = r.u64()
-	m.Spec.Entries = int(r.u64())
-	m.State = r.u64()
-	m.Segs = r.u64()
-	m.Ops = r.u64()
-	m.LogBytes = r.u64()
-	m.Chain = r.u64()
-	m.Digest = r.u64()
-	m.ResultDigest = r.u64()
-	if r.err != nil {
-		return nil, r.err
+	var entries uint64
+	m.Spec.Name = r.Str()
+	m.Spec.Scheme = r.Str()
+	m.Spec.Bench = r.Str()
+	for _, p := range []*uint64{&m.Spec.Seed, &entries, &m.State, &m.Segs, &m.Ops,
+		&m.LogBytes, &m.Chain, &m.Digest, &m.ResultDigest} {
+		*p = r.U64()
 	}
-	if len(r.buf) != 0 {
-		return bad(fmt.Sprintf("%d trailing bytes after payload", len(r.buf)))
+	m.Spec.Entries = int(entries)
+	if err := r.Close(); err != nil {
+		return nil, &CorruptCheckpointError{Path: path, Detail: err.Error()}
 	}
 	if m.State != ckptStateActive && m.State != ckptStateFinalized {
-		return bad(fmt.Sprintf("unknown session state %d", m.State))
+		return nil, &CorruptCheckpointError{Path: path, Detail: fmt.Sprintf("unknown session state %d", m.State)}
 	}
 	return &m, nil
 }
 
-type manifestReader struct {
-	buf  []byte
-	path string
-	err  error
-}
-
-func (r *manifestReader) fail(detail string) {
-	if r.err == nil {
-		r.err = &CorruptCheckpointError{Path: r.path, Detail: detail}
-	}
-}
-
-func (r *manifestReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *manifestReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	n, used := binary.Uvarint(r.buf)
-	if used <= 0 || n > uint64(len(r.buf)-used) {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.buf[used : used+int(n)])
-	r.buf = r.buf[used+int(n):]
-	return s
-}
-
-// writeManifest persists a manifest with crash-safe atomicity: temp
-// file in the same directory, contents fsynced, rename over the old
-// manifest, directory fsynced. A kill at any instant leaves either the
-// previous sealed manifest or the new one — never a torn mix.
+// writeManifest persists a manifest durably and atomically: a kill at
+// any instant leaves either the previous sealed manifest or the new
+// one — never a torn mix.
 func writeManifest(dir string, m *manifest) (int, error) {
-	path := filepath.Join(dir, ckptFile)
 	enc := m.encode()
-	tmp, err := os.CreateTemp(dir, ckptFile+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	return len(enc), syncDir(dir)
+	return len(enc), record.WriteFile(filepath.Join(dir, ckptFile), enc, true)
 }
 
 // loadManifest reads and verifies a session's manifest.
@@ -212,14 +120,4 @@ func loadManifest(dir string) (*manifest, error) {
 		return nil, err
 	}
 	return decodeManifest(path, raw)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -5,31 +5,8 @@ import (
 	"fmt"
 
 	"secpb/internal/engine"
+	"secpb/internal/record"
 )
-
-// The service's hash: the FNV-1a step (xor the byte, multiply by the
-// 64-bit FNV prime) from a fixed non-standard offset, carried as a
-// resumable uint64 chain. The offset is 0xcbf29ce4841c3be7, not FNV's
-// basis 0xcbf29ce484222325, so digests do not match hash/fnv's New64a;
-// the value is kept because checkpoint manifests and state digests
-// already sealed with it must keep verifying. hash/fnv could not carry
-// the chain anyway: it cannot be re-seeded from a stored state.
-const (
-	fnvOffset64 = 14695981039346269159
-	fnvPrime64  = 1099511628211
-)
-
-// fnvInit is the chain's offset — the value of an empty log.
-func fnvInit() uint64 { return fnvOffset64 }
-
-// fnvUpdate folds p into a running chain.
-func fnvUpdate(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // resultJSON is the canonical wire/artifact mirror of engine.Result.
 // Field order is fixed by the struct, floats render via Go's shortest
@@ -64,6 +41,13 @@ type resultJSON struct {
 	Reencrypt    uint64  `json:"reencryptions"`
 	IntegrityErr string  `json:"integrity_err"`
 }
+
+// resultJSONOmits names the engine.Result fields resultJSON leaves out
+// on purpose. Every other field must be mirrored above: adding one to
+// resultJSON changes every state digest and result artifact, so a new
+// Result field goes either there, as a deliberate and pinned change,
+// or here. TestResultJSONCoversResult enforces the split.
+var resultJSONOmits = map[string]bool{}
 
 // EncodeResult renders a Result as canonical newline-terminated JSON.
 func EncodeResult(r engine.Result) []byte {
@@ -105,10 +89,10 @@ func EncodeResult(r engine.Result) []byte {
 }
 
 // StateDigest hashes an engine's full observable result state: the
-// service hash of EncodeResult. Equal digests after equal op streams
-// are the service's committed-prefix identity check: a resumed session
-// must reproduce the digest its checkpoint sealed before it may accept
-// new segments.
+// service hash (record.Sum) of EncodeResult. Equal digests after equal
+// op streams are the service's committed-prefix identity check: a
+// resumed session must reproduce the digest its checkpoint sealed
+// before it may accept new segments.
 func StateDigest(r engine.Result) uint64 {
-	return fnvUpdate(fnvInit(), EncodeResult(r))
+	return record.Sum(EncodeResult(r))
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"secpb/internal/engine"
+	"secpb/internal/record"
 	"secpb/internal/recovery"
 	"secpb/internal/trace"
 )
@@ -202,7 +203,7 @@ func newSession(spec Spec, dir string, opts Options, kill <-chan struct{}, metri
 		eng:       eng,
 		logF:      logF,
 		logW:      bufio.NewWriter(logF),
-		procChain: fnvInit(),
+		procChain: record.HashInit,
 		metrics:   metrics,
 	}
 	if err := s.checkpoint(ckptStateActive); err != nil {
@@ -258,7 +259,7 @@ func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metr
 		if err != nil {
 			return nil, corrupt(resPath, "finalized session missing result: %v", err)
 		}
-		if got := fnvUpdate(fnvInit(), enc); got != m.ResultDigest {
+		if got := record.Sum(enc); got != m.ResultDigest {
 			return nil, corrupt(resPath, "result digest %016x, manifest sealed %016x", got, m.ResultDigest)
 		}
 		s.state = stateFinalized
@@ -361,7 +362,7 @@ func hashLogTail(path string, n uint64) (uint64, error) {
 	if string(hdr[:]) != string(trace.SPB2Header()) {
 		return 0, &CorruptCheckpointError{Path: path, Detail: "log header is not SPB2"}
 	}
-	chain := fnvInit()
+	chain := record.HashInit
 	buf := make([]byte, 64<<10)
 	remain := n - trace.SPB2HeaderLen
 	for remain > 0 {
@@ -373,7 +374,7 @@ func hashLogTail(path string, n uint64) (uint64, error) {
 		if err != nil {
 			return 0, &CorruptCheckpointError{Path: path, Detail: fmt.Sprintf("short log body: %v", err)}
 		}
-		chain = fnvUpdate(chain, buf[:k])
+		chain = record.Hash(chain, buf[:k])
 		remain -= uint64(k)
 	}
 	return chain, nil
@@ -556,7 +557,7 @@ func (s *Session) apply(m segMsg) error {
 	if _, err := s.logW.Write(m.frame); err != nil {
 		return err
 	}
-	s.procChain = fnvUpdate(s.procChain, m.frame)
+	s.procChain = record.Hash(s.procChain, m.frame)
 	s.procBytes += uint64(len(m.frame))
 	if err := s.eng.StepBatch(m.batch); err != nil {
 		return err
@@ -644,7 +645,7 @@ func (s *Session) doFinalize() {
 		return
 	}
 
-	if err := writeFileAtomic(filepath.Join(s.dir, resFile), enc); err != nil {
+	if err := record.WriteFile(filepath.Join(s.dir, resFile), enc, true); err != nil {
 		s.fail(err)
 		return
 	}
@@ -656,7 +657,7 @@ func (s *Session) doFinalize() {
 		LogBytes:     trace.SPB2HeaderLen + s.procBytes,
 		Chain:        s.procChain,
 		Digest:       StateDigest(res),
-		ResultDigest: fnvUpdate(fnvInit(), enc),
+		ResultDigest: record.Sum(enc),
 	}
 	n, err := writeManifest(s.dir, &m)
 	if err != nil {
@@ -733,29 +734,4 @@ func (s *Session) halt() {
 	if wd != nil {
 		<-wd
 	}
-}
-
-// writeFileAtomic writes data with the temp+fsync+rename discipline.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }

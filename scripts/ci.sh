@@ -24,8 +24,8 @@ go test -race ./...
 # need this uninstrumented pass to run at all.
 go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
 
-# Benchmarks must at least compile and run one iteration: the perf
-# report scripts depend on them, and a bench-only regression would
+# Benchmarks must at least compile and run one iteration: profiling
+# and diagnosis depend on them, and a bench-only regression would
 # otherwise go unnoticed until the next perf run.
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -33,10 +33,11 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # must answer as a cold one does, the midstate MAC/node-hash and
 # shared-scratch OTP paths must agree with their one-shot composition
 # references, the paged table and the persist buffer must agree with
-# their map models, and every seeded corruption must be flagged, on
-# every gate run.
+# their map models, every seeded corruption must be flagged, and no
+# resealed record may panic its reader, on every gate run.
 go test -run Fuzz ./internal/bmt/... ./internal/crypto/... ./internal/ptable/... \
-    ./internal/pb/... ./internal/recovery/... ./internal/trace/...
+    ./internal/pb/... ./internal/recovery/... ./internal/trace/... \
+    ./internal/record/...
 
 # The benchmark (perfbench/, its own module) compiles against the
 # engine's API. Build and vet it with perfbench/run.sh's environment so
